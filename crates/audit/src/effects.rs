@@ -637,6 +637,15 @@ fn extract_body(toks: &[Token], scanned: &crate::lexer::ScannedFile, info: &mut 
     let mut i = body.start;
     while i < body.end {
         let t = &toks[i];
+        // Attributes (`#[..]`, `#![..]`) are not code: the `expect` in
+        // `#[expect(clippy::..)]` names a lint, it calls nothing.
+        if t.is_punct("#") {
+            let open = if i + 1 < body.end && toks[i + 1].is_punct("!") { i + 2 } else { i + 1 };
+            if open < body.end && toks[open].is_punct("[") {
+                i = crate::symbols::skip_balanced(toks, open);
+                continue;
+            }
+        }
         // Indexing: `expr[..]` — `[` preceded by an ident, `)` or `]`.
         // Attribute brackets (`#[..]`), slice types (`&[u8]`) and array
         // literals (`= [`) all fail the predecessor test.
@@ -844,6 +853,18 @@ mod tests {
             "fn f(xs: &[u64]) -> u64 {\n\
              \x20   let ys = [1u64, 2];\n\
              \x20   xs.iter().sum::<u64>() + ys.len() as u64\n\
+             }\n",
+        );
+        assert!(fns[0].direct.is_pure(), "got {:?}", fns[0].sites);
+    }
+
+    #[test]
+    fn lint_attributes_are_not_calls() {
+        let fns = extract(
+            "fn f(x: u64) -> u32 {\n\
+             \x20   #[expect(clippy::cast_possible_truncation, reason = \"x < 8\")]\n\
+             \x20   let y = (x & 7) as u32;\n\
+             \x20   y\n\
              }\n",
         );
         assert!(fns[0].direct.is_pure(), "got {:?}", fns[0].sites);

@@ -56,10 +56,9 @@ pub struct ScannedFile {
     pub suppressions: Vec<Suppression>,
     /// Hot-path contract annotations found in comments.
     pub annotations: Vec<Annotation>,
-    /// 1-indexed line of the first `#[cfg(test)]` attribute, if any.
-    /// Workspace convention keeps test modules at the end of the file, so
-    /// everything from this line on is treated as test code.
-    pub first_test_line: Option<usize>,
+    /// Inclusive 1-indexed line ranges of `#[cfg(test)]` items: each runs
+    /// from the attribute to the end of the one item it annotates.
+    pub test_regions: Vec<(usize, usize)>,
 }
 
 impl ScannedFile {
@@ -68,9 +67,9 @@ impl ScannedFile {
         self.blanked.lines().enumerate().map(|(i, l)| (i + 1, l))
     }
 
-    /// Whether `line` is inside the trailing test region.
+    /// Whether `line` is inside a `#[cfg(test)]` item.
     pub fn is_test_code(&self, line: usize) -> bool {
-        self.first_test_line.is_some_and(|t| line >= t)
+        self.test_regions.iter().any(|&(start, end)| (start..=end).contains(&line))
     }
 
     /// Whether `lint` is suppressed at `line` (same line, the line above,
@@ -153,7 +152,7 @@ pub fn scan(source: &str) -> ScannedFile {
     let mut blanked = String::with_capacity(source.len());
     let mut suppressions = Vec::new();
     let mut annotations = Vec::new();
-    let mut first_test_line = None;
+    let mut test_attrs = Vec::new();
     let mut line = 1usize;
     let mut i = 0usize;
 
@@ -286,14 +285,54 @@ pub fn scan(source: &str) -> ScannedFile {
             }
             continue;
         }
-        if first_test_line.is_none() && c == '#' && source_has_cfg_test(&bytes, i) {
-            first_test_line = Some(line);
+        if c == '#' && source_has_cfg_test(&bytes, i) {
+            test_attrs.push(i);
         }
         keep!(c);
         i += 1;
     }
 
-    ScannedFile { blanked, suppressions, annotations, first_test_line }
+    // Blanking is char-for-char, so source indices address `blanked` too.
+    let chars: Vec<char> = blanked.chars().collect();
+    let line_of = |at: usize| 1 + chars[..at].iter().filter(|&&c| c == '\n').count();
+    let test_regions = test_attrs
+        .into_iter()
+        .map(|at| (line_of(at), line_of(test_item_end(&chars, at))))
+        .collect();
+    ScannedFile { blanked, suppressions, annotations, test_regions }
+}
+
+/// Char index where the item annotated by the `#[cfg(test)]` at `attr`
+/// ends, on blanked source: the close of its first top-level `{..}`
+/// group (fn, mod, impl, braced struct), or its terminating `;` or `,`
+/// (`use`, `mod m;`, statements, fields). A closer of the enclosing item
+/// ends it too. Commas inside a top-level `<..>` (generics) do not.
+fn test_item_end(chars: &[char], attr: usize) -> usize {
+    let mut depth = 0usize;
+    let mut angle = 0usize;
+    let mut past_attr = false;
+    for (i, &c) in chars.iter().enumerate().skip(attr + 1) {
+        let after_arrow = i > 0 && matches!(chars[i - 1], '-' | '=');
+        match c {
+            '<' if depth == 0 => angle += 1,
+            '>' if depth == 0 && angle > 0 && !after_arrow => angle -= 1,
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' if depth == 0 => return i,
+            ')' | ']' | '}' => {
+                depth -= 1;
+                if depth == 0 && !past_attr {
+                    // The `]` closing `#[cfg(test)]` itself.
+                    past_attr = true;
+                } else if depth == 0 && c == '}' {
+                    return i;
+                }
+            }
+            ';' if depth == 0 => return i,
+            ',' if depth == 0 && angle == 0 => return i,
+            _ => {}
+        }
+    }
+    chars.len().saturating_sub(1)
 }
 
 /// Whether the char before `i` can extend an identifier (so `r` in `for`
@@ -380,13 +419,13 @@ mod tests {
     #[test]
     fn suppressions_are_parsed() {
         let s = scan(
-            "// nucache-audit: allow(unwrap-in-lib) -- startup only\nfoo();\n\
-             // nucache-audit: allow-file(wall-clock-in-sim)\n",
+            "// nucache-audit: allow(counter-dataflow) -- debugger only\nfoo();\n\
+             // nucache-audit: allow-file(forbid-unsafe-missing)\n",
         );
-        assert!(s.is_suppressed("unwrap-in-lib", 1));
-        assert!(s.is_suppressed("unwrap-in-lib", 2), "next line is covered");
-        assert!(!s.is_suppressed("unwrap-in-lib", 3));
-        assert!(s.is_suppressed("wall-clock-in-sim", 999), "file-wide covers everything");
+        assert!(s.is_suppressed("counter-dataflow", 1));
+        assert!(s.is_suppressed("counter-dataflow", 2), "next line is covered");
+        assert!(!s.is_suppressed("counter-dataflow", 3));
+        assert!(s.is_suppressed("forbid-unsafe-missing", 999), "file-wide covers everything");
     }
 
     #[test]
@@ -446,8 +485,43 @@ mod tests {
     #[test]
     fn test_region_detected() {
         let s = scan("fn lib() {}\n#[cfg(test)]\nmod tests {}\n");
-        assert_eq!(s.first_test_line, Some(2));
+        assert_eq!(s.test_regions, [(2, 3)]);
         assert!(!s.is_test_code(1));
         assert!(s.is_test_code(3));
+    }
+
+    #[test]
+    fn test_region_covers_only_the_annotated_item() {
+        // Shaped like a module with a test-only helper method in the
+        // middle of an impl and library code after it.
+        let src = "impl Stacks {\n\
+                   \x20   #[cfg(test)]\n\
+                   \x20   fn set(&self, s: usize) -> &[u8] {\n\
+                   \x20       &self.ways[s..s + 1]\n\
+                   \x20   }\n\
+                   \x20   fn promote(&mut self) { self.find().expect(\"in stack\"); }\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   use std::fmt;\n\
+                   impl SharedLlc for Pipp {\n\
+                   \x20   fn access(&mut self) {}\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   #[test]\n\
+                   \x20   fn t() { let v = [1, 2]; }\n\
+                   }\n";
+        let s = scan(src);
+        assert_eq!(s.test_regions, [(2, 5), (8, 9), (13, 17)]);
+        let test_lines: Vec<usize> = (1..=17).filter(|&l| s.is_test_code(l)).collect();
+        assert_eq!(test_lines, [2, 3, 4, 5, 8, 9, 13, 14, 15, 16, 17]);
+        // A test-only field or statement ends at its `,` / `;`, and the
+        // last field of a struct at the struct's closing brace.
+        let s = scan("struct S {\n    #[cfg(test)]\n    a: u8,\n    b: u8,\n    #[cfg(test)]\n    c: u8\n}\n");
+        assert_eq!(s.test_regions, [(2, 3), (5, 7)]);
+        // Generic parameter lists do not end the item early.
+        let s =
+            scan("#[cfg(test)]\nfn pair<K, V>(k: K) -> Map<K, V> {\n    todo!()\n}\nfn lib() {}\n");
+        assert_eq!(s.test_regions, [(1, 4)]);
     }
 }

@@ -1,23 +1,21 @@
 //! Source-level lint pass for the NUcache workspace.
 //!
-//! `nucache-audit` walks every `.rs` file in the workspace and enforces a
-//! small set of project-specific invariants that `rustc`/`clippy` cannot
-//! express (or that clippy expresses only per-expression, where this
-//! project wants a curated, suppressible policy):
+//! `nucache-audit` walks every `.rs` file in the workspace and enforces
+//! the project invariants that `rustc`/`clippy` cannot express. Rules a
+//! compiler gate covers at least as strictly live there instead: clippy
+//! denies `unwrap_used`, `expect_used`, the lossy `cast_*` lints and the
+//! `disallowed_types` listed in `clippy.toml` (`HashMap`/`HashSet`,
+//! `Instant`/`SystemTime`), with per-site `#[expect]` exemptions.
 //!
-//! | lint | rule |
-//! |------|------|
-//! | `nondeterministic-iteration` | no bare `HashMap`/`HashSet` in simulator crates — iteration order leaks hasher state into results; use `BTreeMap`/`BTreeSet` or justify with a suppression |
-//! | `wall-clock-in-sim` | no `Instant`/`SystemTime` outside experiment binaries, benches and telemetry manifests — simulation results must never depend on wall time |
-//! | `forbid-unsafe-missing` | every crate root carries `#![forbid(unsafe_code)]` |
-//! | `lossy-cast-in-counters` | no truncating `as` casts to narrow integers in counter/stat/monitor arithmetic |
-//! | `unwrap-in-lib` | no new `.unwrap()`/`.expect()` in library code beyond the checked-in per-file allowlist |
+//! The one per-file lint left here is `forbid-unsafe-missing`: every
+//! crate root, vendored ones included, carries `#![forbid(unsafe_code)]`,
+//! no file carries `allow(unsafe_code)`, and every manifest opts into
+//! the workspace lint table that pins `unsafe_code = "forbid"`.
 //!
 //! A finding can be suppressed at the site with a justification comment:
 //!
 //! ```text
-//! // nucache-audit: allow(wall-clock-in-sim) -- throughput banner only
-//! let t0 = std::time::Instant::now();
+//! // nucache-audit: allow(counter-dataflow) -- exported via debugger only
 //! ```
 //!
 //! (on the same line or the line above), or for a whole file with
@@ -47,6 +45,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss,
+    reason = "tool crate: signed token cursors over in-memory token vectors"
+)]
 
 pub mod atomics;
 pub mod cfg;
@@ -70,7 +73,7 @@ pub use effects::{EffectModel, EffectSet, FnInfo};
 pub use graph::UseGraph;
 pub use hotpath::{run_effect_lints, Justifications, EFFECT_LINTS, STUB_REASON};
 pub use lexer::ScannedFile;
-pub use lints::{run_lints, Allowlist, LINTS};
+pub use lints::{run_lints, LINTS};
 pub use locks::{run_lock_lints, CONCURRENCY_LEDGER, LOCK_LINTS};
 pub use resolve::Workspace;
 pub use semantic::{dead_pub::Baseline, run_semantic_lints, SEMANTIC_LINTS};

@@ -1,222 +1,27 @@
-//! The five lint passes and the unwrap allowlist.
+//! The per-file `forbid-unsafe-missing` lint.
+//!
+//! The determinism, wall-clock, lossy-cast and unwrap rules are enforced
+//! by clippy at `deny` (see `[workspace.lints.clippy]` and `clippy.toml`
+//! at the workspace root); this pass keeps only the rule clippy cannot
+//! express: every crate root, vendored ones included, must carry
+//! `#![forbid(unsafe_code)]`, and every manifest must opt into the
+//! workspace lint table that pins it.
 
 use crate::diag::{Diagnostic, Severity};
-use crate::lexer::{scan, ScannedFile};
-use crate::walk::{classify, collect_rs_files, FileClass};
-use std::collections::BTreeMap;
+use crate::lexer::scan;
+use crate::walk::{classify, collect_rs_files};
 use std::path::Path;
 
-/// Names of every lint the tool knows, with one-line rules. Order is the
-/// order passes run in and the order `--help` lists them.
-pub const LINTS: &[(&str, &str)] = &[
-    (
-        "nondeterministic-iteration",
-        "no bare HashMap/HashSet in simulator library code (iteration order leaks hasher state)",
-    ),
-    (
-        "wall-clock-in-sim",
-        "no Instant/SystemTime in simulator library code (results must not depend on wall time)",
-    ),
-    ("forbid-unsafe-missing", "every crate root must carry #![forbid(unsafe_code)]"),
-    (
-        "lossy-cast-in-counters",
-        "no truncating `as` casts to narrow integers in counter/stat/monitor files",
-    ),
-    ("unwrap-in-lib", "no .unwrap()/.expect() in library code beyond the checked-in allowlist"),
-];
-
-/// Per-file budget of pre-existing `.unwrap()`/`.expect()` calls in
-/// library code. New code must not raise any file's count; shrinking a
-/// count is recorded with `--update-allowlist`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Allowlist {
-    /// `path -> permitted call count`, sorted for stable serialization.
-    pub entries: BTreeMap<String, usize>,
-}
-
-impl Allowlist {
-    /// Parses the `count path` line format. Lines starting with `#` and
-    /// blank lines are ignored. Malformed lines are reported as errors.
-    pub fn parse(text: &str) -> Result<Allowlist, String> {
-        let mut entries = BTreeMap::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (count, path) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("allowlist line {}: expected `count path`", i + 1))?;
-            let count: usize = count
-                .parse()
-                .map_err(|_| format!("allowlist line {}: bad count {count:?}", i + 1))?;
-            entries.insert(path.trim().to_string(), count);
-        }
-        Ok(Allowlist { entries })
-    }
-
-    /// Serializes back to the `count path` format with a header comment.
-    pub fn render(&self) -> String {
-        let mut out = String::from(
-            "# unwrap-in-lib allowlist: pre-existing .unwrap()/.expect() calls per\n\
-             # library file. Regenerate with `cargo run -p nucache-audit -- --update-allowlist`.\n\
-             # New library code must use proper error handling instead of growing these.\n",
-        );
-        for (path, count) in &self.entries {
-            out.push_str(&format!("{count} {path}\n"));
-        }
-        out
-    }
-
-    /// Permitted count for `path` (0 when absent).
-    pub fn permitted(&self, path: &str) -> usize {
-        self.entries.get(path).copied().unwrap_or(0)
-    }
-}
-
-/// Returns character offsets in `line` where `token` occurs as a whole
-/// identifier (not embedded in a longer identifier).
-fn token_hits(line: &str, token: &str) -> usize {
-    let chars: Vec<char> = line.chars().collect();
-    let tok: Vec<char> = token.chars().collect();
-    let mut hits = 0;
-    let mut i = 0;
-    while i + tok.len() <= chars.len() {
-        if chars[i..i + tok.len()] == tok[..] {
-            let before_ok = i == 0 || (!chars[i - 1].is_alphanumeric() && chars[i - 1] != '_');
-            let after = chars.get(i + tok.len());
-            let after_ok = after.is_none_or(|c| !c.is_alphanumeric() && *c != '_');
-            if before_ok && after_ok {
-                hits += 1;
-                i += tok.len();
-                continue;
-            }
-        }
-        i += 1;
-    }
-    hits
-}
-
-/// Counts `.unwrap(` / `.expect(` call sites on a blanked line.
-fn unwrap_hits(line: &str) -> usize {
-    line.matches(".unwrap(").count() + line.matches(".expect(").count()
-}
-
-/// Whether the wall-clock lint applies to this file: simulator library
-/// code plus non-bin experiment library code (timing belongs in binaries
-/// and benches, and in the telemetry manifest writer which stamps runs).
-fn wall_clock_in_scope(class: &FileClass, rel: &str) -> bool {
-    if class.is_vendor
-        || class.is_test_dir
-        || class.is_bench
-        || class.is_bin
-        || class.is_example
-        || class.is_build_script
-        || class.crate_name == "nucache-audit"
-        || class.crate_name == "nucache-bench"
-    {
-        return false;
-    }
-    !rel.ends_with("telemetry.rs")
-}
-
-/// Whether the lossy-cast lint applies: simulator library files whose
-/// name marks them as counter/stat arithmetic.
-fn cast_in_scope(class: &FileClass, rel: &str) -> bool {
-    let stem = rel.rsplit('/').next().unwrap_or(rel);
-    class.is_sim_lib()
-        && ["stat", "monitor", "telemetry", "counter"].iter().any(|k| stem.contains(k))
-}
-
-/// Narrow integer types a lossy `as` cast is flagged for.
-const NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// Counts ` as <narrow>` casts on a blanked line.
-fn lossy_cast_hits(line: &str) -> bool {
-    let mut rest = line;
-    while let Some(pos) = rest.find(" as ") {
-        let after = rest[pos + 4..].trim_start();
-        if NARROW.iter().any(|t| {
-            after.starts_with(t)
-                && after[t.len()..].chars().next().is_none_or(|c| !c.is_alphanumeric() && c != '_')
-        }) {
-            return true;
-        }
-        rest = &rest[pos + 4..];
-    }
-    false
-}
+/// Names of every per-file lint the tool knows, with one-line rules.
+pub const LINTS: &[(&str, &str)] =
+    &[("forbid-unsafe-missing", "every crate root must carry #![forbid(unsafe_code)]")];
 
 /// Lints one file. `rel` is the workspace-relative path with forward
-/// slashes. Returns all findings; allowlist handling for `unwrap-in-lib`
-/// happens here too.
-pub fn lint_file(rel: &str, source: &str, allowlist: &Allowlist) -> Vec<Diagnostic> {
-    let class = classify(rel);
-    let scanned = scan(source);
-    let mut out = Vec::new();
-
-    lint_iteration(rel, &class, &scanned, &mut out);
-    lint_wall_clock(rel, &class, &scanned, &mut out);
-    lint_forbid_unsafe(rel, &class, &scanned, &mut out);
-    lint_lossy_cast(rel, &class, &scanned, &mut out);
-    lint_unwrap(rel, &class, &scanned, allowlist, &mut out);
-    out
-}
-
-fn lint_iteration(rel: &str, class: &FileClass, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    const LINT: &str = "nondeterministic-iteration";
-    if !class.is_sim_lib() {
-        return;
-    }
-    for (line_no, line) in s.lines() {
-        if s.is_test_code(line_no) || s.is_suppressed(LINT, line_no) {
-            continue;
-        }
-        for ty in ["HashMap", "HashSet"] {
-            if token_hits(line, ty) > 0 {
-                out.push(Diagnostic {
-                    file: rel.to_string(),
-                    line: line_no,
-                    lint: LINT,
-                    message: format!(
-                        "bare `{ty}` in simulator library code; use BTreeMap/BTreeSet \
-                         or justify with `// nucache-audit: allow({LINT}) -- reason`"
-                    ),
-                    severity: Severity::Error,
-                });
-            }
-        }
-    }
-}
-
-fn lint_wall_clock(rel: &str, class: &FileClass, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    const LINT: &str = "wall-clock-in-sim";
-    if !wall_clock_in_scope(class, rel) {
-        return;
-    }
-    for (line_no, line) in s.lines() {
-        if s.is_test_code(line_no) || s.is_suppressed(LINT, line_no) {
-            continue;
-        }
-        for ty in ["Instant", "SystemTime"] {
-            if token_hits(line, ty) > 0 {
-                out.push(Diagnostic {
-                    file: rel.to_string(),
-                    line: line_no,
-                    lint: LINT,
-                    message: format!(
-                        "`{ty}` in simulator library code; wall time must not \
-                         influence results — move timing to a binary or bench"
-                    ),
-                    severity: Severity::Error,
-                });
-            }
-        }
-    }
-}
-
-fn lint_forbid_unsafe(rel: &str, class: &FileClass, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
+/// slashes.
+pub fn lint_file(rel: &str, source: &str) -> Vec<Diagnostic> {
     const LINT: &str = "forbid-unsafe-missing";
+    let s = scan(source);
+    let mut out = Vec::new();
     // An `allow(unsafe_code)` anywhere (inner or outer attribute) carves
     // a hole in the workspace-wide forbid; ban it in every file.
     for (line_no, line) in s.lines() {
@@ -233,8 +38,8 @@ fn lint_forbid_unsafe(rel: &str, class: &FileClass, s: &ScannedFile, out: &mut V
             });
         }
     }
-    if !class.is_crate_root || s.is_suppressed(LINT, 0) || s.is_suppressed(LINT, 1) {
-        return;
+    if !classify(rel).is_crate_root || s.is_suppressed(LINT, 0) || s.is_suppressed(LINT, 1) {
+        return out;
     }
     let squashed: String = s.blanked.chars().filter(|c| !c.is_whitespace()).collect();
     if !squashed.contains("#![forbid(unsafe_code)]") {
@@ -246,6 +51,7 @@ fn lint_forbid_unsafe(rel: &str, class: &FileClass, s: &ScannedFile, out: &mut V
             severity: Severity::Error,
         });
     }
+    out
 }
 
 /// Manifest half of `forbid-unsafe-missing`: the inline attribute only
@@ -284,107 +90,18 @@ fn lint_unsafe_manifest_gaps(root: &Path) -> Vec<Diagnostic> {
     out
 }
 
-fn lint_lossy_cast(rel: &str, class: &FileClass, s: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    const LINT: &str = "lossy-cast-in-counters";
-    if !cast_in_scope(class, rel) {
-        return;
-    }
-    for (line_no, line) in s.lines() {
-        if s.is_test_code(line_no) || s.is_suppressed(LINT, line_no) {
-            continue;
-        }
-        if lossy_cast_hits(line) {
-            out.push(Diagnostic {
-                file: rel.to_string(),
-                line: line_no,
-                lint: LINT,
-                message: "truncating `as` cast in counter arithmetic; use `u64` \
-                          or `try_into` with explicit handling"
-                    .to_string(),
-                severity: Severity::Error,
-            });
-        }
-    }
-}
-
-fn lint_unwrap(
-    rel: &str,
-    class: &FileClass,
-    s: &ScannedFile,
-    allowlist: &Allowlist,
-    out: &mut Vec<Diagnostic>,
-) {
-    const LINT: &str = "unwrap-in-lib";
-    if !unwrap_in_scope(class) {
-        return;
-    }
-    let count = unwrap_count(s);
-    let permitted = allowlist.permitted(rel);
-    if count > permitted {
-        out.push(Diagnostic {
-            file: rel.to_string(),
-            line: 0,
-            lint: LINT,
-            message: format!(
-                "{count} .unwrap()/.expect() call(s) in library code, allowlist \
-                 permits {permitted}; handle the error or suppress at the site"
-            ),
-            severity: Severity::Error,
-        });
-    }
-}
-
-/// Whether a file's unwraps are policed: any non-vendor library code,
-/// including the audit tool itself.
-fn unwrap_in_scope(class: &FileClass) -> bool {
-    !class.is_vendor
-        && !class.is_test_dir
-        && !class.is_bench
-        && !class.is_bin
-        && !class.is_example
-        && !class.is_build_script
-}
-
-/// Counts unsuppressed `.unwrap()`/`.expect()` calls outside the test
-/// region of an in-scope file.
-fn unwrap_count(s: &ScannedFile) -> usize {
-    s.lines()
-        .filter(|(n, _)| !s.is_test_code(*n) && !s.is_suppressed("unwrap-in-lib", *n))
-        .map(|(_, l)| unwrap_hits(l))
-        .sum()
-}
-
-/// Runs every lint over every `.rs` file under `root`. Returns findings
+/// Runs the lint over every `.rs` file under `root`. Returns findings
 /// sorted by (file, line, lint) — deterministic for CI diffing.
-pub fn run_lints(root: &Path, allowlist: &Allowlist) -> std::io::Result<Vec<Diagnostic>> {
+pub fn run_lints(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut out = Vec::new();
     for path in collect_rs_files(root)? {
         let rel = rel_path(root, &path);
         let source = std::fs::read_to_string(&path)?;
-        out.extend(lint_file(&rel, &source, allowlist));
+        out.extend(lint_file(&rel, &source));
     }
     out.extend(lint_unsafe_manifest_gaps(root));
     out.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     Ok(out)
-}
-
-/// Computes the current unwrap counts for every in-scope file — the
-/// content `--update-allowlist` writes out.
-pub fn current_unwrap_counts(root: &Path) -> std::io::Result<Allowlist> {
-    let mut entries = BTreeMap::new();
-    for path in collect_rs_files(root)? {
-        let rel = rel_path(root, &path);
-        let class = classify(&rel);
-        if !unwrap_in_scope(&class) {
-            continue;
-        }
-        let source = std::fs::read_to_string(&path)?;
-        let count = unwrap_count(&scan(&source));
-        if count > 0 {
-            entries.insert(rel, count);
-        }
-    }
-    Ok(Allowlist { entries })
 }
 
 /// Workspace-relative path with forward slashes.
@@ -401,165 +118,38 @@ fn rel_path(root: &Path, path: &Path) -> String {
 mod tests {
     use super::*;
 
-    fn lint(rel: &str, src: &str) -> Vec<Diagnostic> {
-        lint_file(rel, src, &Allowlist::default())
-    }
-
     fn names(diags: &[Diagnostic]) -> Vec<&'static str> {
         diags.iter().map(|d| d.lint).collect()
     }
 
-    // --- nondeterministic-iteration ---
-
-    #[test]
-    fn iteration_fires_in_sim_lib() {
-        let d = lint("crates/core/src/foo.rs", "use std::collections::HashMap;\n");
-        assert_eq!(names(&d), ["nondeterministic-iteration"]);
-        assert_eq!(d[0].line, 1);
-    }
-
-    #[test]
-    fn iteration_clean_on_btree_and_out_of_scope() {
-        assert!(lint("crates/core/src/foo.rs", "use std::collections::BTreeMap;\n").is_empty());
-        // experiments crate and tests dirs are out of scope
-        assert!(
-            lint("crates/experiments/src/foo.rs", "use std::collections::HashMap;\n").is_empty()
-        );
-        assert!(lint("crates/core/tests/t.rs", "use std::collections::HashMap;\n").is_empty());
-        // identifiers merely containing the token don't fire
-        assert!(lint("crates/core/src/foo.rs", "struct MyHashMapLike;\n").is_empty());
-    }
-
-    #[test]
-    fn iteration_suppressed_with_comment() {
-        let src = "// nucache-audit: allow(nondeterministic-iteration) -- lookup only\n\
-                   use std::collections::HashMap;\n";
-        assert!(lint("crates/core/src/foo.rs", src).is_empty());
-    }
-
-    // --- wall-clock-in-sim ---
-
-    #[test]
-    fn wall_clock_fires_in_lib() {
-        let d = lint("crates/sim/src/foo.rs", "let t = std::time::Instant::now();\n");
-        assert_eq!(names(&d), ["wall-clock-in-sim"]);
-    }
-
-    #[test]
-    fn wall_clock_clean_in_bins_and_telemetry() {
-        let src = "let t = std::time::Instant::now();\n";
-        assert!(lint("crates/experiments/src/bin/simulate.rs", src).is_empty());
-        assert!(lint("crates/experiments/src/telemetry.rs", src).is_empty());
-        assert!(lint("crates/bench/benches/nucache.rs", src).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_suppressed_with_comment() {
-        let src = "// nucache-audit: allow(wall-clock-in-sim) -- banner only\n\
-                   let t = std::time::Instant::now();\n";
-        assert!(lint("crates/sim/src/foo.rs", src).is_empty());
-    }
-
-    // --- forbid-unsafe-missing ---
-
     #[test]
     fn forbid_unsafe_fires_on_bare_root() {
-        let d = lint("crates/core/src/lib.rs", "pub mod llc;\n");
+        let d = lint_file("crates/core/src/lib.rs", "pub mod llc;\n");
         assert_eq!(names(&d), ["forbid-unsafe-missing"]);
         assert_eq!(d[0].line, 0);
     }
 
     #[test]
     fn forbid_unsafe_clean_with_attribute_and_non_roots() {
-        assert!(
-            lint("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\npub mod llc;\n").is_empty()
-        );
-        assert!(lint("crates/core/src/llc.rs", "pub struct NuCache;\n").is_empty());
+        assert!(lint_file("crates/core/src/lib.rs", "#![forbid(unsafe_code)]\npub mod llc;\n")
+            .is_empty());
+        assert!(lint_file("crates/core/src/llc.rs", "pub struct NuCache;\n").is_empty());
     }
 
     #[test]
     fn forbid_unsafe_suppressed_file_wide() {
         let src = "// nucache-audit: allow-file(forbid-unsafe-missing)\npub mod llc;\n";
-        assert!(lint("crates/core/src/lib.rs", src).is_empty());
+        assert!(lint_file("crates/core/src/lib.rs", src).is_empty());
     }
 
     #[test]
     fn forbid_unsafe_flags_allow_unsafe_code_anywhere() {
-        let d = lint("crates/core/src/llc.rs", "#[allow(unsafe_code)]\nfn f() {}\n");
+        let d = lint_file("crates/core/src/llc.rs", "#[allow(unsafe_code)]\nfn f() {}\n");
         assert_eq!(names(&d), ["forbid-unsafe-missing"]);
         assert_eq!(d[0].line, 1);
         // Inner attribute form and mentions inside comments.
-        let d = lint("crates/core/src/llc.rs", "#![allow( unsafe_code )]\n");
+        let d = lint_file("crates/core/src/llc.rs", "#![allow( unsafe_code )]\n");
         assert_eq!(names(&d), ["forbid-unsafe-missing"]);
-        assert!(lint("crates/core/src/llc.rs", "// allow(unsafe_code) in prose\n").is_empty());
-    }
-
-    // --- lossy-cast-in-counters ---
-
-    #[test]
-    fn lossy_cast_fires_in_stat_files() {
-        let d = lint("crates/common/src/stats.rs", "let x = self.hits as u32;\n");
-        assert_eq!(names(&d), ["lossy-cast-in-counters"]);
-    }
-
-    #[test]
-    fn lossy_cast_clean_on_widening_and_other_files() {
-        assert!(lint("crates/common/src/stats.rs", "let x = self.hits as u64;\n").is_empty());
-        assert!(lint("crates/common/src/stats.rs", "let x = self.hits as usize;\n").is_empty());
-        // non-counter files are out of scope for this lint
-        assert!(lint("crates/core/src/llc.rs", "let x = y as u32;\n").is_empty());
-    }
-
-    #[test]
-    fn lossy_cast_suppressed_with_comment() {
-        let src = "// nucache-audit: allow(lossy-cast-in-counters) -- bounded by geometry\n\
-                   let x = self.hits as u32;\n";
-        assert!(lint("crates/common/src/stats.rs", src).is_empty());
-    }
-
-    // --- unwrap-in-lib ---
-
-    #[test]
-    fn unwrap_fires_beyond_allowlist() {
-        let d = lint("crates/core/src/foo.rs", "let x = maybe().unwrap();\n");
-        assert_eq!(names(&d), ["unwrap-in-lib"]);
-        assert!(d[0].message.contains("1 .unwrap()"));
-    }
-
-    #[test]
-    fn unwrap_clean_within_allowlist_and_in_tests() {
-        let mut allow = Allowlist::default();
-        allow.entries.insert("crates/core/src/foo.rs".into(), 2);
-        let src = "let x = a().unwrap();\nlet y = b().expect(\"b\");\n";
-        assert!(lint_file("crates/core/src/foo.rs", src, &allow).is_empty());
-        // one over budget fires
-        let src3 = format!("{src}let z = c().unwrap();\n");
-        assert_eq!(names(&lint_file("crates/core/src/foo.rs", &src3, &allow)), ["unwrap-in-lib"]);
-        // test region never counts
-        assert!(lint(
-            "crates/core/src/foo.rs",
-            "#[cfg(test)]\nmod t { fn f() { a().unwrap(); } }\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn unwrap_suppressed_at_site() {
-        let src = "// nucache-audit: allow(unwrap-in-lib) -- poisoned lock is fatal anyway\n\
-                   let g = lock.lock().unwrap();\n";
-        assert!(lint("crates/core/src/foo.rs", src).is_empty());
-    }
-
-    // --- allowlist round-trip ---
-
-    #[test]
-    fn allowlist_parses_and_renders() {
-        let a = Allowlist::parse("# header\n3 crates/core/src/llc.rs\n1 src/lib.rs\n")
-            .expect("well-formed");
-        assert_eq!(a.permitted("crates/core/src/llc.rs"), 3);
-        assert_eq!(a.permitted("unknown.rs"), 0);
-        let round = Allowlist::parse(&a.render()).expect("render must re-parse");
-        assert_eq!(a, round);
-        assert!(Allowlist::parse("not-a-count foo.rs\n").is_err());
+        assert!(lint_file("crates/core/src/llc.rs", "// allow(unsafe_code) in prose\n").is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! CLI for the workspace audit.
 //!
 //! ```text
-//! cargo run -p nucache-audit -- lint                   # all 9 lints, text output
+//! cargo run -p nucache-audit -- lint                   # all 5 lints, text output
 //! cargo run -p nucache-audit -- lint --format json     # machine-readable, for CI
 //! cargo run -p nucache-audit -- lint --lint counter-dataflow
 //! cargo run -p nucache-audit -- lint --update-baseline # rewrite pub_baseline.txt
@@ -20,16 +20,13 @@
 
 use nucache_audit::atomics::{run_atomic_lints, ATOMIC_LINTS};
 use nucache_audit::hotpath::{run_effect_lints, Justifications, EFFECT_LINTS};
-use nucache_audit::lints::{current_unwrap_counts, run_lints, Allowlist, LINTS};
+use nucache_audit::lints::{run_lints, LINTS};
 use nucache_audit::locks::{run_lock_lints, CONCURRENCY_HEADER, LOCK_LINTS};
 use nucache_audit::semantic::dead_pub::{self, Baseline};
 use nucache_audit::semantic::{run_semantic_lints, SEMANTIC_LINTS};
 use nucache_audit::{EffectModel, UseGraph, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// Relative location of the unwrap allowlist inside the workspace.
-const ALLOWLIST_REL: &str = "crates/audit/allowlist.txt";
 
 /// Relative location of the dead-pub baseline inside the workspace.
 const BASELINE_REL: &str = "crates/audit/pub_baseline.txt";
@@ -55,7 +52,6 @@ fn usage() {
          \x20 --format text|json   output format (default text)\n\
          \x20 --root PATH          workspace root (default: this checkout)\n\
          \x20 --lint NAME          run only the named lint(s); repeatable\n\
-         \x20 --update-allowlist   rewrite {ALLOWLIST_REL} from current unwrap counts\n\
          \x20 --update-baseline    rewrite {BASELINE_REL} from current dead-pub findings\n\
          \x20 --update-justify     rewrite {HOTPATH_REL} (effects) or {CONCURRENCY_REL}\n\
          \x20                      (locks/atomics, both families) from current findings\n\
@@ -92,7 +88,6 @@ struct Cli {
     format: String,
     root: PathBuf,
     only: Vec<String>,
-    update_allowlist: bool,
     update_baseline: bool,
     update_justify: bool,
     list_effects: bool,
@@ -104,7 +99,6 @@ fn parse_args() -> Result<Option<Cli>, String> {
         format: String::from("text"),
         root: PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join(".."),
         only: Vec::new(),
-        update_allowlist: false,
         update_baseline: false,
         update_justify: false,
         list_effects: false,
@@ -138,7 +132,6 @@ fn parse_args() -> Result<Option<Cli>, String> {
                 Some(name) => return Err(format!("unknown lint {name:?} (see --help)")),
                 None => return Err("--lint takes a lint name".into()),
             },
-            "--update-allowlist" => cli.update_allowlist = true,
             "--update-baseline" => cli.update_baseline = true,
             "--update-justify" => cli.update_justify = true,
             "--list" => cli.list_effects = true,
@@ -154,14 +147,6 @@ fn parse_args() -> Result<Option<Cli>, String> {
 
 /// `lint` subcommand body.
 fn run_lint(cli: &Cli) -> Result<ExitCode, String> {
-    if cli.update_allowlist {
-        let list = current_unwrap_counts(&cli.root).map_err(|e| format!("scanning: {e}"))?;
-        let path = cli.root.join(ALLOWLIST_REL);
-        std::fs::write(&path, list.render()).map_err(|e| format!("writing {path:?}: {e}"))?;
-        eprintln!("wrote {} entries to {}", list.entries.len(), path.display());
-        return Ok(ExitCode::SUCCESS);
-    }
-
     let ws = Workspace::load(&cli.root).map_err(|e| format!("scanning workspace: {e}"))?;
 
     if cli.update_baseline {
@@ -173,15 +158,10 @@ fn run_lint(cli: &Cli) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let allowlist = match std::fs::read_to_string(cli.root.join(ALLOWLIST_REL)) {
-        Ok(text) => Allowlist::parse(&text).map_err(|e| e.to_string())?,
-        // Missing allowlist means an empty budget, not an error.
-        Err(_) => Allowlist::default(),
-    };
     let baseline =
         Baseline::load(&cli.root.join(BASELINE_REL)).map_err(|e| format!("baseline: {e}"))?;
 
-    let mut diags = run_lints(&cli.root, &allowlist).map_err(|e| format!("scanning: {e}"))?;
+    let mut diags = run_lints(&cli.root).map_err(|e| format!("scanning: {e}"))?;
     diags.extend(run_semantic_lints(&ws, &baseline));
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.lint, &a.message).cmp(&(&b.file, b.line, b.lint, &b.message))

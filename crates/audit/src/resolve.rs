@@ -199,8 +199,8 @@ impl Workspace {
         self.index.named(name).any(|(_, s)| s.file == self.files[occ.file].rel && s.pos == occ.pos)
     }
 
-    /// Whether the occurrence lies in test code: a `tests/` file or the
-    /// trailing `#[cfg(test)]` region of a lib file.
+    /// Whether the occurrence lies in test code: a `tests/` file or a
+    /// `#[cfg(test)]` item of a lib file.
     pub fn is_test_occurrence(&self, occ: &Occurrence) -> bool {
         let f = &self.files[occ.file];
         f.class.is_test_dir || f.scanned.is_test_code(occ.line)

@@ -750,7 +750,7 @@ fn governed_extent(tokens: &[Token], after: usize, raw_len: usize) -> usize {
 /// Given token index `i` at an opening bracket (`(`/`[`/`{`), returns the
 /// index one past its matching close. Returns `tokens.len()` when
 /// unbalanced.
-fn skip_balanced(tokens: &[Token], i: usize) -> usize {
+pub(crate) fn skip_balanced(tokens: &[Token], i: usize) -> usize {
     let mut depth = 0i32;
     let mut k = i;
     while k < tokens.len() {

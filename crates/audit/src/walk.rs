@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "runs", "results", "fixtures"];
 
 /// Collects every `.rs` file under `root`, sorted by path so the walk
-/// (and therefore diagnostic order and the allowlist) is deterministic.
+/// (and therefore diagnostic order) is deterministic.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -51,26 +51,8 @@ pub struct FileClass {
     /// Crate root (`src/lib.rs` or `src/main.rs`): must carry
     /// `#![forbid(unsafe_code)]`.
     pub is_crate_root: bool,
-    /// Build script (`build.rs`): exempt from library-code lints.
+    /// Build script (`build.rs`).
     pub is_build_script: bool,
-}
-
-impl FileClass {
-    /// Whether this file is simulator library code — the scope for the
-    /// determinism, wall-clock, cast and unwrap lints. Experiment
-    /// binaries, benches, tests, vendor code and the audit tool itself
-    /// are out of scope.
-    pub fn is_sim_lib(&self) -> bool {
-        !self.is_vendor
-            && !self.is_test_dir
-            && !self.is_bench
-            && !self.is_bin
-            && !self.is_example
-            && !self.is_build_script
-            && self.crate_name != "nucache-audit"
-            && self.crate_name != "nucache-bench"
-            && self.crate_name != "nucache-experiments"
-    }
 }
 
 /// Classifies a workspace-relative path (forward slashes).
@@ -110,8 +92,7 @@ mod tests {
     fn classify_core_lib() {
         let c = classify("crates/core/src/llc.rs");
         assert_eq!(c.crate_name, "nucache-core");
-        assert!(c.is_sim_lib());
-        assert!(!c.is_crate_root);
+        assert!(!c.is_crate_root && !c.is_bin && !c.is_test_dir);
     }
 
     #[test]
@@ -122,17 +103,5 @@ mod tests {
         assert!(!classify("crates/core/src/llc.rs").is_crate_root);
         let bin = classify("crates/experiments/src/bin/simulate.rs");
         assert!(bin.is_bin && !bin.is_crate_root);
-    }
-
-    #[test]
-    fn out_of_scope_files() {
-        assert!(!classify("crates/cache/tests/policy_properties.rs").is_sim_lib());
-        assert!(!classify("crates/bench/benches/nucache.rs").is_sim_lib());
-        assert!(!classify("crates/experiments/src/lib.rs").is_sim_lib());
-        assert!(!classify("vendor/proptest/src/lib.rs").is_sim_lib());
-        assert!(!classify("crates/audit/src/lints.rs").is_sim_lib());
-        assert!(!classify("examples/policy_comparison.rs").is_sim_lib());
-        assert!(classify("crates/sim/src/driver.rs").is_sim_lib());
-        assert!(classify("src/lib.rs").is_sim_lib());
     }
 }

@@ -3,6 +3,8 @@
 //! with a deliberately seeded `Vec::push`, a justified indexing panic,
 //! a whole-function allocation boundary, and a lock-discipline pair.
 
+#![expect(clippy::expect_used, reason = "fixture loading fails only on a broken checkout")]
+
 use nucache_audit::{run_effect_lints, Diagnostic, EffectModel, Justifications, Workspace};
 use std::path::PathBuf;
 

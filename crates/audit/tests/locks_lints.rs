@@ -4,6 +4,8 @@
 //! annotated hot path, and an unpaired Relaxed/Acquire atomic mix —
 //! plus one drop-disciplined control function that must stay clean.
 
+#![expect(clippy::expect_used, reason = "fixture loading fails only on a broken checkout")]
+
 use nucache_audit::{
     run_atomic_lints, run_lock_lints, Diagnostic, EffectModel, Justifications, Workspace,
 };

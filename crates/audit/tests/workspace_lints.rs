@@ -5,6 +5,8 @@
 //! and known-bad patterns for one lint; the walker skips `fixtures`
 //! directories, so these files never leak into the real audit run.
 
+#![expect(clippy::expect_used, reason = "fixture loading fails only on a broken checkout")]
+
 use nucache_audit::diag::to_json;
 use nucache_audit::semantic::run_semantic_lints;
 use nucache_audit::{Baseline, Diagnostic, UseGraph, Workspace};

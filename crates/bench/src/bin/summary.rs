@@ -4,9 +4,9 @@
 //! Runs the two canonical throughput workloads and writes a JSON summary
 //! (the `BENCH_<n>.json` schema, DESIGN.md §12):
 //!
-//! * **`fill_find_churn`** — the steady-state tag-array churn loop from
-//!   `benches/substrate.rs`, via [`nucache_bench::fill_find_churn`], so
-//!   substrate-level changes show up directly;
+//! * **`fill_find_churn`** — the steady-state tag-array churn loop,
+//!   via [`nucache_bench::fill_find_churn`], so substrate-level changes
+//!   show up directly;
 //! * **`quick_run_all`** — a fixed dual-core evaluation slice (headline
 //!   suite × two mixes, serial, fixed run lengths independent of
 //!   `NUCACHE_QUICK`), so end-to-end driver/trace changes show up in
@@ -27,6 +27,8 @@
 //! more than `--max-regress` (default 0.30) — the CI regression gate
 //! (the `threaded` section is informational: wall-clock-sleep-bound
 //! numbers regress with host scheduling, not with code).
+
+#![expect(clippy::disallowed_types, reason = "a throughput benchmark times with Instant")]
 
 use nucache_bench::fill_find_churn;
 use nucache_cache::{CacheGeometry, SetArray};

@@ -335,12 +335,12 @@ struct WorkerStats {
 fn worker<C: ServeCache>(
     cache: &C,
     cfg: &LoadgenConfig,
-    thread_id: usize,
+    thread_id: u8,
     deadline: Instant,
 ) -> WorkerStats {
     let spec = cfg.workload.spec();
     let mut generator =
-        TraceGen::new(&spec, CoreId::new(thread_id as u8), cfg.seed ^ thread_id as u64);
+        TraceGen::new(&spec, CoreId::new(thread_id), cfg.seed ^ u64::from(thread_id));
     let mut stats = WorkerStats {
         ops: 0,
         hits: 0,
@@ -352,7 +352,7 @@ fn worker<C: ServeCache>(
     while Instant::now() < deadline {
         // Per-thread batch index: disjoint per thread so the seeded
         // plan faults reproducible batches regardless of interleaving.
-        let batch_index = ((thread_id as u64) << 40) | stats.batches;
+        let batch_index = (u64::from(thread_id) << 40) | stats.batches;
         stats.batches += 1;
         let fault = cfg
             .fault_plan
@@ -402,10 +402,14 @@ pub fn run_loadgen<C: ServeCache>(
     cache_label: &'static str,
 ) -> LoadgenReport {
     assert!(cfg.threads >= 1, "need at least one worker");
+    // Each worker replays its trace as its own core, and a CoreId is a u8.
+    let Ok(last_thread) = u8::try_from(cfg.threads - 1) else {
+        panic!("at most 256 workers (one CoreId each), got {}", cfg.threads);
+    };
     let start = Instant::now();
     let deadline = start + cfg.duration;
     let merged = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..cfg.threads)
+        let workers: Vec<_> = (0..=last_thread)
             .map(|thread_id| scope.spawn(move || worker(cache, cfg, thread_id, deadline)))
             .collect();
         let mut merged = WorkerStats {
@@ -417,7 +421,10 @@ pub fn run_loadgen<C: ServeCache>(
             latency: Log2Histogram::new(LATENCY_BUCKETS),
         };
         for handle in workers {
-            // nucache-audit: allow(unwrap-in-lib) -- workers catch batch panics; join only fails on harness bugs
+            #[expect(
+                clippy::expect_used,
+                reason = "workers catch batch panics; join fails only on harness bugs"
+            )]
             let stats = handle.join().expect("workers never panic (batches unwind inside)");
             merged.ops += stats.ops;
             merged.hits += stats.hits;
@@ -452,8 +459,8 @@ const EPOCH_SWEEP_INTERVAL: Duration = Duration::from_millis(1);
 /// Runs the load against a sharded NUcache with its background epoch
 /// thread (deferred selection, swept every millisecond).
 pub fn run_nucache(cfg: &LoadgenConfig) -> LoadgenReport {
+    #[expect(clippy::expect_used, reason = "geometry is static and checked by the unit tests")]
     let cache: Arc<ConcurrentNucache<u64>> =
-        // nucache-audit: allow(unwrap-in-lib) -- geometry is static and checked by the unit tests
         Arc::new(ConcurrentNucache::init(ConcurrentConfig::new(cfg.shards, cfg.shard)).expect(
             "loadgen shard geometry is valid by construction (power-of-two sets, deli < ways)",
         ));
@@ -490,6 +497,15 @@ mod tests {
         assert_eq!(report.ops, report.hits + report.misses);
         assert!(report.p99_ns.is_some(), "latencies were recorded");
         assert_eq!(report.batch_panics, 0, "no fault plan, no panics");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 workers")]
+    fn rejects_more_workers_than_core_ids() {
+        // Worker 256 would replay its trace as core 0.
+        let mut cfg = quick(257);
+        cfg.duration = Duration::from_millis(1);
+        run_striped_lru(&cfg);
     }
 
     #[test]

@@ -139,6 +139,10 @@ impl<P: ReplacementPolicy> BasicCache<P> {
         let geom = *self.array.geometry();
         let set = geom.set_of(line);
         let way = self.array.find(set, geom.tag_of(line))?;
+        #[expect(
+            clippy::expect_used,
+            reason = "`find` returned this way, so it holds a valid line"
+        )]
         let ev = self.array.invalidate(set, way).expect("found way is valid");
         self.policy.on_invalidate(set, way);
         Some(ev.dirty)

@@ -12,10 +12,6 @@
 
 use crate::config::CacheGeometry;
 use nucache_common::{CacheStats, LineAddr};
-// nucache-audit: allow-file(nondeterministic-iteration) -- OPT oracle maps are
-// lookup-only (insert/get/remove by key); nothing iterates them, so hasher
-// state cannot reach the results.
-use std::collections::HashMap;
 
 /// Result of an OPT simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +37,12 @@ pub struct OptResult {
 /// let r = optimal_misses(&geom, &trace);
 /// assert!(r.stats.hits > 0);
 /// ```
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only maps (insert/get/remove by key); nothing iterates them"
+)]
 pub fn optimal_misses(geom: &CacheGeometry, trace: &[LineAddr]) -> OptResult {
+    use std::collections::HashMap;
     // Pass 1: next_use[i] = index of the next access to trace[i]'s line
     // (usize::MAX if never again).
     let mut next_use = vec![usize::MAX; trace.len()];
@@ -78,6 +79,10 @@ pub fn optimal_misses(geom: &CacheGeometry, trace: &[LineAddr]) -> OptResult {
         if residents[set].len() == assoc {
             // Evict the farthest-next-use line. `usize::MAX` (never used
             // again) sorts last, exactly as OPT wants.
+            #[expect(
+                clippy::expect_used,
+                reason = "the set holds `assoc` residents when this runs"
+            )]
             let victim = *residents[set].iter().next_back().expect("full set");
             residents[set].remove(&victim);
             keyed.remove(&victim.1);

@@ -66,6 +66,7 @@ impl RecencyCore {
         self.last_touch[set * self.assoc + way] = stamp;
     }
 
+    #[expect(clippy::expect_used, reason = "geometries have non-zero associativity")]
     fn victim(&self, set: usize) -> usize {
         let base = set * self.assoc;
         (0..self.assoc).min_by_key(|&w| self.last_touch[base + w]).expect("non-zero associativity")

@@ -58,6 +58,7 @@ impl ReplacementPolicy for Lru {
         self.touch(set, way);
     }
 
+    #[expect(clippy::expect_used, reason = "geometries have non-zero associativity")]
     fn victim(&mut self, set: usize) -> usize {
         let base = set * self.assoc;
         (0..self.assoc).min_by_key(|&w| self.last_touch[base + w]).expect("non-zero associativity")

@@ -6,6 +6,11 @@
 //! `find`, `invalid_way`, `occupancy`, `get`, `line_addr`, eviction
 //! reports, `total_occupancy` — must agree at every step.
 
+#![expect(
+    clippy::expect_used,
+    reason = "the reference model panics on a misuse the real array must also reject"
+)]
+
 use nucache_cache::meta::{EvictedLine, LineMeta};
 use nucache_cache::{CacheGeometry, SetArray};
 use nucache_common::{CoreId, LineAddr, Pc};

@@ -68,6 +68,10 @@ impl LineAddr {
     }
 
     /// Set index for a cache with `2^set_bits` sets.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked to `set_bits` bits, fewer than the pointer width"
+    )]
     pub const fn set_index(self, set_bits: u32) -> usize {
         (self.0 & ((1 << set_bits) - 1)) as usize
     }

@@ -68,6 +68,11 @@ impl JsonValue {
     /// The numeric content as `u64`, if this is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the guard admits only non-negative integers within u64"
+            )]
             JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }
@@ -425,6 +430,10 @@ impl Parser<'_> {
                     let start = self.pos - 1;
                     let s = std::str::from_utf8(&self.bytes[start..])
                         .map_err(|_| self.err("invalid utf8"))?;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the non-ASCII branch has at least one byte left"
+                    )]
                     let c = s.chars().next().expect("non-empty");
                     out.push(c);
                     self.pos = start + c.len_utf8();
@@ -441,6 +450,10 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the scanned span holds only ASCII number characters"
+        )]
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
         text.parse::<f64>()
             .map(JsonValue::Num)

@@ -33,7 +33,7 @@
 //!  NextUseMonitor (sampled)     histograms of set-accesses between
 //!        │                      MainWays eviction and next request
 //!        ▼  every epoch_len LLC accesses
-//!  selector::select_pcs         cost-benefit over the histograms
+//!  select_pcs                   cost-benefit over the histograms
 //!        │ chosen PC set
 //!        ▼
 //!  MainWays eviction ──(allocated by a chosen PC?)──▶ DeliWays (FIFO)
@@ -52,20 +52,17 @@
 //!
 //! The mechanism itself lives in the embeddable [`nucache_kernel`]
 //! crate (`no_std + alloc` capable, generic over the insertion class);
-//! this crate instantiates it for the simulator — class =
-//! [`Pc`](nucache_common::Pc), key = raw
-//! [`LineAddr`](nucache_common::LineAddr) — and keeps the
+//! this crate instantiates it for the simulator — class = [`Pc`], key =
+//! raw [`LineAddr`](nucache_common::LineAddr) — and keeps the
 //! simulator-specific surface:
 //!
 //! * [`NuCacheConfig`] — all knobs with paper-faithful defaults,
 //!   lowered to a [`nucache_kernel::KernelConfig`] via
 //!   [`NuCacheConfig::to_kernel`];
-//! * [`delinquent`] — per-PC miss accounting, top-K extraction (kernel
-//!   tracker, PC-keyed);
-//! * [`monitor`] — the sampled Next-Use monitor (kernel monitor,
-//!   PC-keyed);
-//! * [`selector`] — cost-benefit, exhaustive (oracle), static-top-k and
-//!   random selection strategies (kernel selector, PC-keyed);
+//! * [`DelinquentTracker`], [`NextUseMonitor`], [`Candidate`] and
+//!   [`Selection`] — the kernel's tracker, monitor and selector types
+//!   keyed by PC, with [`select_pcs`] running the cost-benefit,
+//!   exhaustive (oracle), static-top-k and random strategies;
 //! * [`NuCache`] — the thin adapter implementing
 //!   [`nucache_cache::SharedLlc`] over
 //!   [`nucache_kernel::NucacheKernel`]: per-core stats, write-back
@@ -89,14 +86,32 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod delinquent;
 pub mod llc;
-pub mod monitor;
 pub mod overhead;
-pub mod selector;
 
 pub use config::{NuCacheConfig, SelectionStrategy};
-pub use delinquent::DelinquentTracker;
 pub use llc::NuCache;
-pub use monitor::NextUseMonitor;
-pub use selector::select_pcs;
+pub use nucache_kernel::selector::{build_candidates, evaluate_chosen};
+
+use nucache_common::Pc;
+
+/// Computes the chosen PC set for the next epoch (the kernel's
+/// [`select_classes`](nucache_kernel::selector::select_classes) under
+/// its simulator-era name).
+pub use nucache_kernel::selector::select_classes as select_pcs;
+
+/// Per-PC miss counters with bounded capacity and epoch decay, keyed by
+/// the static instruction that caused the miss (the paper's
+/// DelinquentPC notion).
+pub type DelinquentTracker = nucache_kernel::DelinquentTracker<Pc>;
+
+/// Sampled Next-Use monitoring across the cache, per delinquent PC.
+/// Addressed with raw [`LineAddr`](nucache_common::LineAddr) values
+/// (`line.0`), whose set/tag split matches the kernel's key split.
+pub type NextUseMonitor = nucache_kernel::NextUseMonitor<Pc>;
+
+/// One delinquent PC up for selection.
+pub type Candidate = nucache_kernel::Candidate<Pc>;
+
+/// The outcome of a selection pass.
+pub type Selection = nucache_kernel::Selection<Pc>;

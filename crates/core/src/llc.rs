@@ -18,9 +18,7 @@
 //! loop dispatches on.
 
 use crate::config::NuCacheConfig;
-use crate::delinquent::DelinquentTracker;
-use crate::monitor::NextUseMonitor;
-use crate::selector::Selection;
+use crate::{DelinquentTracker, NextUseMonitor, Selection};
 use nucache_cache::meta::{AccessOutcome, EvictedLine};
 use nucache_cache::{AuditStats, CacheGeometry, SharedLlc};
 use nucache_common::telemetry::{Event, PcSnapshot};
@@ -72,6 +70,7 @@ impl NuCache {
         assert!(num_cores > 0, "need at least one core");
         config.validate(geom.associativity());
         let kc = config.to_kernel(geom.num_sets(), geom.associativity());
+        #[expect(clippy::expect_used, reason = "NuCacheConfig::validate covers the kernel's rules")]
         #[allow(unused_mut)] // mut only needed under debug_invariants
         let mut llc = NuCache {
             kernel: NucacheKernel::init(kc).expect("NuCacheConfig::validate covers kernel rules"),

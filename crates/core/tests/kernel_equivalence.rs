@@ -16,6 +16,8 @@
 //! cumulative stats, epoch count, chosen-PC sets and selection
 //! objective, across strategies, epoch boundaries and DeliWays shapes.
 
+#![expect(clippy::expect_used, reason = "the legacy reference keeps its original invariant checks")]
+
 use nucache_cache::{CacheGeometry, SharedLlc};
 use nucache_common::{AccessKind, CoreId, LineAddr, Pc};
 use nucache_core::config::{NuCacheConfig, SelectionStrategy};
@@ -29,9 +31,9 @@ mod legacy {
     use nucache_cache::{CacheGeometry, SetArray};
     use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
     use nucache_core::config::NuCacheConfig;
-    use nucache_core::delinquent::DelinquentTracker;
-    use nucache_core::monitor::NextUseMonitor;
-    use nucache_core::selector::{build_candidates, select_pcs, Selection};
+    use nucache_core::{
+        build_candidates, select_pcs, DelinquentTracker, NextUseMonitor, Selection,
+    };
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Mask with the low `n` bits set (`n` up to 64).

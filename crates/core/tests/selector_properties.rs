@@ -1,8 +1,7 @@
 //! Property-based tests of the PC-selection algorithms.
 
 use nucache_common::{Log2Histogram, Pc};
-use nucache_core::selector::{select_pcs, Candidate};
-use nucache_core::SelectionStrategy;
+use nucache_core::{select_pcs, Candidate, SelectionStrategy};
 use proptest::prelude::*;
 
 /// Strategy producing a plausible candidate pool.
@@ -39,8 +38,8 @@ proptest! {
             SelectionStrategy::None,
         ] {
             let sel = select_pcs(&cands, deli, acc, strat, 7);
-            let pool: std::collections::HashSet<Pc> = cands.iter().map(|c| c.class).collect();
-            let mut seen = std::collections::HashSet::new();
+            let pool: std::collections::BTreeSet<Pc> = cands.iter().map(|c| c.class).collect();
+            let mut seen = std::collections::BTreeSet::new();
             for pc in &sel.chosen {
                 prop_assert!(pool.contains(pc), "{strat}: chose unknown PC");
                 prop_assert!(seen.insert(*pc), "{strat}: duplicate PC");

@@ -16,6 +16,11 @@
 //! `--inject-faults SEED` deterministically injects worker panics and
 //! I/O errors to exercise all of the above.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-step timing for the console only; never reaches a simulation"
+)]
+
 use nucache_experiments::panic_message;
 use nucache_sim::args::Args;
 use nucache_sim::telemetry::{git_revision, take_manifest_config, Manifest};

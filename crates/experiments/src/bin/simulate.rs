@@ -15,6 +15,11 @@
 //! tag-array operation is mirrored into a naive reference model and
 //! NUcache's epoch invariants are checked; any divergence aborts the run.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "elapsed time for the console only; never reaches a simulation"
+)]
+
 use nucache_cache::CacheGeometry;
 use nucache_common::table::{f2, f3, Table};
 use nucache_core::NuCacheConfig;

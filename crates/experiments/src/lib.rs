@@ -22,6 +22,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "step timing feeds the run manifest and console banner only"
+)]
+#![expect(clippy::cast_possible_truncation, reason = "tool crate: run lengths fit usize")]
 
 pub mod characterize;
 pub mod figs;
@@ -177,7 +182,6 @@ fn cli_main(name: &str, f: impl FnOnce()) -> Result<(), String> {
     let _ = take_degradations();
 
     // Elapsed time feeds the run manifest and console banner only.
-    // nucache-audit: allow(wall-clock-in-sim) -- never touches simulation state
     let t0 = std::time::Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(f));
     if let Err(payload) = &outcome {

@@ -182,6 +182,10 @@ impl<V, C: Copy + Ord + Debug> ConcurrentNucache<V, C> {
 
     /// The shard `key` routes to: the [`FastRange`] reduction of the
     /// [`mix64`]-avalanched key.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "FastRange reduces into [0, shards), a usize"
+    )]
     pub fn shard_of(&self, key: u64) -> usize {
         self.route.reduce(mix64(key)) as usize
     }
@@ -347,7 +351,10 @@ impl EpochThread {
         match self.handle.take() {
             // A panic inside pump_epochs would mean a kernel invariant
             // already failed; surface it rather than swallowing it.
-            // nucache-audit: allow(unwrap-in-lib) -- propagating an epoch-thread panic is the point
+            #[expect(
+                clippy::expect_used,
+                reason = "propagating an epoch-thread panic is the point"
+            )]
             Some(handle) => handle.join().expect("epoch thread must not panic"),
             None => 0,
         }

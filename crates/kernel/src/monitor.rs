@@ -110,6 +110,10 @@ impl<C: Copy + Ord + Debug> NextUseMonitor<C> {
     }
 
     fn sampled_index(&self, key: u64) -> Option<usize> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "masked to set_bits bits, fewer than the pointer width"
+        )]
         let set = (key & ((1u64 << self.set_bits) - 1)) as usize;
         if set & ((1usize << self.sample_shift) - 1) != 0 {
             None
@@ -149,6 +153,7 @@ impl<C: Copy + Ord + Debug> NextUseMonitor<C> {
         let tag = key >> self.set_bits;
         let sm = &mut self.sets[i];
         let slot = sm.buffer.iter().position(|e| matches!(e, Some(p) if p.tag == tag))?;
+        #[expect(clippy::expect_used, reason = "`position` just matched this slot")]
         let pending = sm.buffer[slot].take().expect("slot just matched");
         let distance = sm.clock - pending.evicted_at;
         self.matched += 1;

@@ -60,6 +60,7 @@ impl<C: Copy + Ord + Debug> DelinquentTracker<C> {
             // Reclaim the weakest entry; BTreeMap iteration is in class
             // order and min_by_key keeps the first minimum, so equal
             // counts resolve to the lowest class.
+            #[expect(clippy::expect_used, reason = "the map is at capacity, so non-empty")]
             let victim = self
                 .misses
                 .iter()

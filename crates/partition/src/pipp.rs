@@ -168,6 +168,10 @@ impl RecencyStacks {
     fn promote_one(&mut self, set: usize, way: usize) {
         let base = set * self.assoc;
         let stack = &mut self.ways[base..base + self.len[set] as usize];
+        #[expect(
+            clippy::expect_used,
+            reason = "every valid way of the set is on its recency stack"
+        )]
         let pos = stack.iter().position(|&w| w as usize == way).expect("hit way in stack");
         if pos > 0 {
             stack.swap(pos, pos - 1);
@@ -180,6 +184,10 @@ impl RecencyStacks {
     ///
     /// Panics if the stack is empty.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "len <= assoc, asserted at most u8::MAX in `new`"
+    )]
     fn pop_lru(&mut self, set: usize) -> u8 {
         let len = self.len[set] as usize;
         assert!(len > 0, "full set has full stack");
@@ -189,6 +197,10 @@ impl RecencyStacks {
 
     /// Inserts `way` at `depth` positions above the LRU end (0 = LRU-most).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "len < assoc, asserted at most u8::MAX in `new`"
+    )]
     fn insert_above_lru(&mut self, set: usize, way: u8, depth: usize) {
         let base = set * self.assoc;
         let len = self.len[set] as usize;
@@ -235,6 +247,10 @@ impl SharedLlc for PippLlc {
         }
         // Insert at the core's depth from the LRU end.
         let depth = self.insert_depth(core).min(self.stacks.len_of(set));
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "way < assoc, asserted at most u8::MAX in `new`"
+        )]
         self.stacks.insert_above_lru(set, way as u8, depth);
         AccessOutcome::Miss { evicted }
     }

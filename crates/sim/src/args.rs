@@ -53,6 +53,7 @@ impl Args {
             if let Some((k, v)) = key.split_once('=') {
                 values.insert(k.to_string(), v.to_string());
             } else if iter.peek().is_some_and(|n| !n.starts_with("--")) {
+                #[expect(clippy::expect_used, reason = "`peek` just returned Some")]
                 let v = iter.next().expect("peeked");
                 values.insert(key.to_string(), v);
             } else {

@@ -129,12 +129,18 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the latency ladder is inverted or the LLC is smaller
-    /// than one core's L2.
+    /// Panics if the latency ladder is inverted, the LLC is smaller
+    /// than one core's L2, or the core count is zero or above 256 (a
+    /// [`CoreId`](nucache_common::CoreId) is a `u8`).
     pub fn validate(&self) {
         self.timing.validate();
         assert!(self.llc.size_bytes() >= self.l2.size_bytes(), "LLC smaller than a private L2");
         assert!(self.num_cores > 0, "need at least one core");
+        assert!(
+            u8::try_from(self.num_cores - 1).is_ok(),
+            "at most 256 cores (one CoreId each), got {}",
+            self.num_cores
+        );
     }
 }
 
@@ -155,6 +161,14 @@ mod tests {
     #[test]
     fn demo_is_valid() {
         SimConfig::demo().validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 cores")]
+    fn validate_rejects_more_cores_than_core_ids() {
+        // Core 256 would alias core 0's CoreId and merge their stats.
+        SimConfig::demo().with_cores(256).validate();
+        SimConfig::demo().with_cores(257).validate();
     }
 
     #[test]

@@ -224,12 +224,14 @@ fn run_mix_impl<L: SharedLlc + ?Sized>(
             seed: config.seed,
         });
     }
+    // `validate` caps the core count at 256, so every workload gets its
+    // own id.
     let mut cores: Vec<CoreState> = mix
         .workloads()
         .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let core = CoreId::new(i as u8);
+        .zip(0..=u8::MAX)
+        .map(|(w, id)| {
+            let core = CoreId::new(id);
             CoreState {
                 gen: TraceGen::new(&w.spec(), core, config.seed),
                 buf: [Access::new(core, Pc::new(0), Addr::new(0), AccessKind::Read); TRACE_BLOCK],

@@ -266,7 +266,7 @@ where
         items.iter().map(|_| Mutex::new(None)).collect();
     // Per-slot start times observed by the watchdog. Wall time is used
     // for flagging only and never reaches a simulation.
-    // nucache-audit: allow(wall-clock-in-sim) -- watchdog flagging only, results unaffected
+    #[expect(clippy::disallowed_types, reason = "watchdog flagging only, results unaffected")]
     let started: Vec<Mutex<Option<std::time::Instant>>> =
         items.iter().map(|_| Mutex::new(None)).collect();
     let flagged: Vec<AtomicBool> = items.iter().map(|_| AtomicBool::new(false)).collect();
@@ -276,7 +276,7 @@ where
             scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                // nucache-audit: allow(wall-clock-in-sim) -- watchdog flagging only
+                #[expect(clippy::disallowed_types, reason = "watchdog flagging only")]
                 let now = std::time::Instant::now();
                 *started[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(now);
                 let result = run_attempts(policy, i, item, &f);
@@ -316,15 +316,14 @@ where
             });
         }
     });
+    // Workers run every claimed job under catch_unwind and always store
+    // an outcome, so an empty slot is a scheduler bug, not a job failure.
+    #[expect(clippy::expect_used, reason = "invariant: every slot is filled")]
     let results = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
-                // Workers run every claimed job under catch_unwind and
-                // always store an outcome, so an empty slot is a
-                // scheduler bug, not a job failure.
-                // nucache-audit: allow(unwrap-in-lib) -- invariant: every slot is filled
                 .expect("worker filled every slot")
         })
         .collect();
@@ -657,6 +656,10 @@ impl Runner {
                 schemes
                     .iter()
                     .map(|_| {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "run_jobs returns one result per job"
+                        )]
                         let result = results.next().expect("one result per job");
                         let metrics = MultiProgramMetrics::new(&result.ipcs(), &solo);
                         (result, metrics)

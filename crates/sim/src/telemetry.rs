@@ -43,6 +43,10 @@ fn dir_override() -> &'static Mutex<Option<PathBuf>> {
 
 /// Installs a process-wide telemetry output directory (the `--telemetry`
 /// flag calls this); `None` clears the override.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned telemetry lock means a writer panicked; fail loudly"
+)]
 pub fn set_default_telemetry_dir(dir: Option<&Path>) {
     *dir_override().lock().expect("telemetry dir lock poisoned") = dir.map(Path::to_path_buf);
 }
@@ -50,6 +54,10 @@ pub fn set_default_telemetry_dir(dir: Option<&Path>) {
 /// The active telemetry directory: the [`set_default_telemetry_dir`]
 /// override when installed, else `NUCACHE_TELEMETRY` when set and
 /// non-empty, else `None` (telemetry off).
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned telemetry lock means a writer panicked; fail loudly"
+)]
 pub fn default_telemetry_dir() -> Option<PathBuf> {
     if let Some(dir) = dir_override().lock().expect("telemetry dir lock poisoned").clone() {
         return Some(dir);
@@ -68,6 +76,10 @@ fn config_slot() -> &'static Mutex<Option<SimConfig>> {
 /// base point. [`Runner`](crate::Runner) and
 /// [`Evaluator`](crate::Evaluator) call this automatically whenever
 /// telemetry is active.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned telemetry lock means a writer panicked; fail loudly"
+)]
 pub fn note_manifest_config(config: &SimConfig) {
     let mut slot = config_slot().lock().expect("manifest config lock poisoned");
     if slot.is_none() {
@@ -77,6 +89,10 @@ pub fn note_manifest_config(config: &SimConfig) {
 
 /// Removes and returns the noted manifest configuration, resetting the
 /// slot for the next experiment.
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned telemetry lock means a writer panicked; fail loudly"
+)]
 pub fn take_manifest_config() -> Option<SimConfig> {
     config_slot().lock().expect("manifest config lock poisoned").take()
 }

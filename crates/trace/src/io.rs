@@ -86,6 +86,10 @@ pub fn read_trace<P: AsRef<Path>>(path: P) -> io::Result<Vec<Access>> {
 ///
 /// As [`read_trace`], plus an `InvalidData` error at every injected
 /// malformed record.
+#[expect(
+    clippy::expect_used,
+    reason = "fixed-width slices of fixed-size buffers convert infallibly"
+)]
 pub fn read_trace_with_plan<P: AsRef<Path>>(
     path: P,
     plan: Option<FaultPlan>,

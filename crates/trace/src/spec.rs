@@ -22,6 +22,11 @@ use crate::workload::{Behavior, SiteSpec, WorkloadSpec};
 /// scaled against.
 pub const REF_LLC_LINES: u64 = 16 * 1024;
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "roster factors are small and positive"
+)]
 fn scaled(factor: f64) -> u64 {
     ((REF_LLC_LINES as f64) * factor).round() as u64
 }

@@ -14,7 +14,7 @@ proptest! {
             vec![SiteSpec::new(Behavior::Loop { lines }, 1)],
             (0, 0),
         );
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut min = u64::MAX;
         let mut max = 0;
         for a in TraceGen::new(&spec, CoreId::new(0), 1).take(take) {
@@ -55,6 +55,7 @@ proptest! {
         gap_lo in 0u32..5,
         gap_span in 0u32..5,
     ) {
+        #[expect(clippy::cast_possible_truncation, reason = "a handful of sites")]
         let sites: Vec<SiteSpec> = sizes
             .iter()
             .enumerate()

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example kernel_quickstart`
 
+#![expect(clippy::expect_used, reason = "example program; a failure should abort it")]
+
 use nucache_kernel::{InsertionClass, KernelConfig, Lookup, NucacheKernel};
 
 fn main() {

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 
+#![expect(clippy::expect_used, reason = "example program; a failure should abort it")]
+
 use nucache_repro::cache::policy::{Dip, Drrip, Fifo, Lru, RandomEvict, TreePlru};
 use nucache_repro::cache::{BasicCache, CacheGeometry, ReplacementPolicy, SharedLlc};
 use nucache_repro::common::table::{f2, Table};

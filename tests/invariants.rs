@@ -143,20 +143,22 @@ proptest! {
         let set_bits = 2; // 4 sets
         let mut monitor = NextUseMonitor::new(set_bits, 0, 64, 24);
         // Brute-force reference: (line, clock_at_eviction) map per set.
-        let mut reference: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let mut reference = std::collections::BTreeMap::new();
         let mut clocks = [0u64; 4];
         for (i, &(tag, set)) in evictions.iter().enumerate() {
             let line = LineAddr::new((tag << set_bits) | set);
             let pc = Pc::new(i as u64);
+            #[expect(clippy::cast_possible_truncation, reason = "set < 4")]
+            let clock = &mut clocks[set as usize];
             // Interleave: an access, an eviction, an access, a next-use probe.
             monitor.on_set_access(line.0);
-            clocks[set as usize] += 1;
+            *clock += 1;
             monitor.on_evict(line.0, pc);
-            reference.insert(line.0, clocks[set as usize]);
+            reference.insert(line.0, *clock);
             monitor.on_set_access(line.0);
-            clocks[set as usize] += 1;
+            *clock += 1;
             if let Some((_, d)) = monitor.on_next_use(line.0) {
-                let expected = clocks[set as usize] - reference[&line.0];
+                let expected = *clock - reference[&line.0];
                 prop_assert_eq!(d, expected);
             }
         }
