@@ -1,12 +1,13 @@
 //! Hot-path contract lints over the effect model.
 //!
-//! Three lints turn the kernel's documented contracts into hard gates:
+//! Four lints turn the kernel's documented contracts into hard gates:
 //!
 //! | lint | contract |
 //! |------|----------|
 //! | `alloc-in-hot-path` | no allocation reachable from an `// audit:hot-path` root except sites/functions carrying `// audit:allow-alloc(reason)` |
 //! | `panic-in-hot-path` | every panic source (and unresolved callee) reachable from the kernel public API is justified |
 //! | `lock-held-across-call` | no lock guard live across a call or site that may allocate, lock or do I/O |
+//! | `alloc-contract-drift` | the `[tag]`s on `alloc-in-hot-path` ledger entries and the tags the kernel's `# Allocation behaviour` doc section enumerates are the same set |
 //!
 //! Every tolerated finding needs *two* marks: a machine-checkable source
 //! annotation where the contract demands one, and an entry in the
@@ -21,7 +22,7 @@
 //! `unknown:<callee>`, or `fn` for a whole-function allocation
 //! boundary), and the optional `[tag]` ties an allocation exception to
 //! the enumerated contract in the kernel's `# Allocation behaviour`
-//! doc section — a `doc-constant-drift` check keeps the two lists equal.
+//! doc section — `alloc-contract-drift` keeps the two lists equal.
 
 use crate::cfg::build_cfg;
 use crate::diag::{Diagnostic, Severity};
@@ -43,6 +44,10 @@ pub const EFFECT_LINTS: &[(&str, &str)] = &[
     (
         "lock-held-across-call",
         "no lock guard live across a site or call that may allocate, lock or do I/O",
+    ),
+    (
+        "alloc-contract-drift",
+        "ledger allocation tags must equal the kernel's documented allocation exceptions",
     ),
 ];
 
@@ -543,7 +548,7 @@ impl Cx<'_> {
         }
     }
 
-    /// `doc-constant-drift` tie: the backticked tags enumerated in the
+    /// `alloc-contract-drift` tie: the backticked tags enumerated in the
     /// kernel's `# Allocation behaviour` doc section and the `[tag]`s on
     /// `alloc-in-hot-path` ledger entries must be the same set.
     fn doc_contract_tie(&mut self) {
@@ -568,7 +573,7 @@ impl Cx<'_> {
                 self.diags.push(Diagnostic {
                     file: file.clone(),
                     line: *line,
-                    lint: "doc-constant-drift",
+                    lint: "alloc-contract-drift",
                     message: format!(
                         "allocation exception `{tag}` is documented but no [{tag}] entry exists in the hotpath ledger"
                     ),
@@ -582,7 +587,7 @@ impl Cx<'_> {
                     self.diags.push(Diagnostic {
                         file: "crates/audit/hotpath.txt".to_string(),
                         line: 0,
-                        lint: "doc-constant-drift",
+                        lint: "alloc-contract-drift",
                         message: format!(
                             "hotpath ledger tag [{tag}] is not documented in the kernel `# Allocation behaviour` contract"
                         ),

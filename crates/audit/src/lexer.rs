@@ -420,12 +420,12 @@ mod tests {
     fn suppressions_are_parsed() {
         let s = scan(
             "// nucache-audit: allow(counter-dataflow) -- debugger only\nfoo();\n\
-             // nucache-audit: allow-file(forbid-unsafe-missing)\n",
+             // nucache-audit: allow-file(dead-cross-crate-pub)\n",
         );
         assert!(s.is_suppressed("counter-dataflow", 1));
         assert!(s.is_suppressed("counter-dataflow", 2), "next line is covered");
         assert!(!s.is_suppressed("counter-dataflow", 3));
-        assert!(s.is_suppressed("forbid-unsafe-missing", 999), "file-wide covers everything");
+        assert!(s.is_suppressed("dead-cross-crate-pub", 999), "file-wide covers everything");
     }
 
     #[test]

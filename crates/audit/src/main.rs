@@ -1,11 +1,10 @@
 //! CLI for the workspace audit.
 //!
 //! ```text
-//! cargo run -p nucache-audit -- lint                   # all 5 lints, text output
+//! cargo run -p nucache-audit -- lint                   # both lints, text output
 //! cargo run -p nucache-audit -- lint --format json     # machine-readable, for CI
 //! cargo run -p nucache-audit -- lint --lint counter-dataflow
 //! cargo run -p nucache-audit -- lint --update-baseline # rewrite pub_baseline.txt
-//! cargo run -p nucache-audit -- graph --format json    # cross-crate use graph
 //! cargo run -p nucache-audit -- effects                # hot-path contract gates
 //! cargo run -p nucache-audit -- effects --list         # per-function effect sets
 //! cargo run -p nucache-audit -- effects --update-justify # rewrite hotpath.txt stubs
@@ -20,11 +19,10 @@
 
 use nucache_audit::atomics::{run_atomic_lints, ATOMIC_LINTS};
 use nucache_audit::hotpath::{run_effect_lints, Justifications, EFFECT_LINTS};
-use nucache_audit::lints::{run_lints, LINTS};
 use nucache_audit::locks::{run_lock_lints, CONCURRENCY_HEADER, LOCK_LINTS};
 use nucache_audit::semantic::dead_pub::{self, Baseline};
 use nucache_audit::semantic::{run_semantic_lints, SEMANTIC_LINTS};
-use nucache_audit::{EffectModel, UseGraph, Workspace};
+use nucache_audit::{EffectModel, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -39,11 +37,10 @@ const CONCURRENCY_REL: &str = nucache_audit::CONCURRENCY_LEDGER;
 
 fn usage() {
     eprintln!(
-        "usage: nucache-audit [lint|graph|effects|locks|atomics] [options]\n\
+        "usage: nucache-audit [lint|effects|locks|atomics] [options]\n\
          \n\
          subcommands:\n\
-         \x20 lint     run every per-file and workspace lint (the default)\n\
-         \x20 graph    print the cross-crate use graph\n\
+         \x20 lint     run the workspace lints (the default)\n\
          \x20 effects  run the flow-aware hot-path contract gates\n\
          \x20 locks    run the lock-discipline gates (order cycles, double-lock, guard escapes)\n\
          \x20 atomics  run the atomic-ordering gate\n\
@@ -59,12 +56,8 @@ fn usage() {
          \n\
          exit codes: 0 = clean, 1 = violations found, 2 = usage or I/O error\n\
          \n\
-         per-file lints:"
+         workspace lints:"
     );
-    for (name, rule) in LINTS {
-        eprintln!("  {name:<28} {rule}");
-    }
-    eprintln!("\nworkspace lints:");
     for (name, rule) in SEMANTIC_LINTS {
         eprintln!("  {name:<28} {rule}");
     }
@@ -105,13 +98,12 @@ fn parse_args() -> Result<Option<Cli>, String> {
     };
     let mut args = std::env::args().skip(1).peekable();
     if let Some(first) = args.peek() {
-        if ["lint", "graph", "effects", "locks", "atomics"].iter().any(|c| c == first) {
+        if ["lint", "effects", "locks", "atomics"].iter().any(|c| c == first) {
             cli.command = args.next().unwrap_or_default();
         }
     }
-    let known: Vec<&str> = LINTS
+    let known: Vec<&str> = SEMANTIC_LINTS
         .iter()
-        .chain(SEMANTIC_LINTS.iter())
         .chain(EFFECT_LINTS.iter())
         .chain(LOCK_LINTS.iter())
         .chain(ATOMIC_LINTS.iter())
@@ -161,11 +153,7 @@ fn run_lint(cli: &Cli) -> Result<ExitCode, String> {
     let baseline =
         Baseline::load(&cli.root.join(BASELINE_REL)).map_err(|e| format!("baseline: {e}"))?;
 
-    let mut diags = run_lints(&cli.root).map_err(|e| format!("scanning: {e}"))?;
-    diags.extend(run_semantic_lints(&ws, &baseline));
-    diags.sort_by(|a, b| {
-        (&a.file, a.line, a.lint, &a.message).cmp(&(&b.file, b.line, b.lint, &b.message))
-    });
+    let mut diags = run_semantic_lints(&ws, &baseline);
     if !cli.only.is_empty() {
         diags.retain(|d| cli.only.iter().any(|n| n == d.lint));
     }
@@ -177,7 +165,7 @@ fn run_lint(cli: &Cli) -> Result<ExitCode, String> {
             println!("{d}");
         }
         if diags.is_empty() {
-            let total = LINTS.len() + SEMANTIC_LINTS.len();
+            let total = SEMANTIC_LINTS.len();
             let scope = if cli.only.is_empty() {
                 format!("{total} lints")
             } else {
@@ -309,18 +297,6 @@ fn run_concurrency(cli: &Cli) -> Result<ExitCode, String> {
     Ok(if diags.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// `graph` subcommand body.
-fn run_graph(cli: &Cli) -> Result<ExitCode, String> {
-    let ws = Workspace::load(&cli.root).map_err(|e| format!("scanning workspace: {e}"))?;
-    let graph = UseGraph::build(&ws);
-    if cli.format == "json" {
-        print!("{}", graph.render_json());
-    } else {
-        print!("{}", graph.render_text());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn main() -> ExitCode {
     let cli = match parse_args() {
         Ok(Some(cli)) => cli,
@@ -332,7 +308,6 @@ fn main() -> ExitCode {
         }
     };
     let result = match cli.command.as_str() {
-        "graph" => run_graph(&cli),
         "effects" => run_effects(&cli),
         "locks" | "atomics" => run_concurrency(&cli),
         _ => run_lint(&cli),

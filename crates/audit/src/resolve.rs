@@ -39,7 +39,7 @@ pub struct FileModel {
     pub scanned: ScannedFile,
     /// Token stream of the blanked text.
     pub tokens: Vec<Token>,
-    /// Symbols, cfg regions and use paths.
+    /// Symbols and cfg regions.
     pub symbols: FileSymbols,
     /// Compilation unit (see [`unit_of`]).
     pub unit: String,
@@ -142,7 +142,7 @@ fn index_file(file: usize, tokens: &[Token], out: &mut OccurrenceIndex) {
 }
 
 /// The loaded workspace: every file model, the symbol index, the
-/// occurrence index and the markdown docs the drift lint reads.
+/// occurrence index and the crates' dependency sets.
 #[derive(Debug)]
 pub struct Workspace {
     /// Scanned `.rs` files in path order.
@@ -151,14 +151,9 @@ pub struct Workspace {
     pub index: SymbolIndex,
     /// All identifier occurrences.
     pub occurrences: OccurrenceIndex,
-    /// `(rel-path, text)` of the audited markdown documents.
-    pub docs: Vec<(String, String)>,
-    /// Feature facts from the workspace `Cargo.toml`s.
+    /// Dependency facts from the workspace `Cargo.toml`s.
     pub manifests: Manifests,
 }
-
-/// Markdown documents whose tables bind numeric claims to code constants.
-pub const AUDITED_DOCS: &[&str] = &["DESIGN.md", "EXPERIMENTS.md"];
 
 impl Workspace {
     /// Loads and scans every source file under `root`.
@@ -183,14 +178,8 @@ impl Workspace {
             index_file(file_id, &tokens, &mut occurrences);
             files.push(FileModel { rel, raw: source, class, scanned, tokens, symbols, unit });
         }
-        let mut docs = Vec::new();
-        for name in AUDITED_DOCS {
-            if let Ok(text) = std::fs::read_to_string(root.join(name)) {
-                docs.push((name.to_string(), text));
-            }
-        }
         let manifests = Manifests::load(root);
-        Ok(Workspace { files, index, occurrences, docs, manifests })
+        Ok(Workspace { files, index, occurrences, manifests })
     }
 
     /// Whether `occ` sits at the declaration of any indexed symbol (same

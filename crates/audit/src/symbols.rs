@@ -1,5 +1,5 @@
-//! Workspace symbol index: tokens, items, fields, `const` values and
-//! `#[cfg]` gate regions.
+//! Workspace symbol index: tokens, items, fields and `#[cfg]` gate
+//! regions.
 //!
 //! Built on top of [`crate::lexer`]: the blanked source (comments and
 //! literals spaced out, char-for-char aligned with the original) is
@@ -221,9 +221,6 @@ pub struct Symbol {
     /// `feature:name`, `test`, `debug_assertions`, or `opaque:<text>` for
     /// shapes the scanner does not model (`any(…)`, `not(…)`, …).
     pub gates: Vec<String>,
-    /// For `Const`/`Static` with a numeric initializer the scanner could
-    /// evaluate: the value.
-    pub const_value: Option<i128>,
     /// For `Field`: the declared type text, whitespace-squashed.
     pub field_type: Option<String>,
 }
@@ -256,17 +253,6 @@ pub struct CfgRegion {
     pub gates: Vec<String>,
 }
 
-/// A `use` declaration's flattened single-name path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UsePath {
-    /// Path segments, e.g. `["nucache_common", "telemetry", "Event"]`.
-    pub segments: Vec<String>,
-    /// 1-indexed line of the `use`.
-    pub line: usize,
-    /// Whether the re-export is `pub`.
-    pub vis: Visibility,
-}
-
 /// Everything the symbol scanner extracts from one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileSymbols {
@@ -274,8 +260,6 @@ pub struct FileSymbols {
     pub symbols: Vec<Symbol>,
     /// Cfg-gated regions (item- and statement-level).
     pub cfg_regions: Vec<CfgRegion>,
-    /// Flattened `use` paths.
-    pub uses: Vec<UsePath>,
     /// Struct names carrying `#[derive(..)]` with `Default`.
     pub derives_default: Vec<String>,
 }
@@ -437,7 +421,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         vis,
                         parent,
                         gates,
-                        const_value: None,
                         field_type: None,
                     });
                 }
@@ -454,7 +437,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         vis,
                         parent: None,
                         gates,
-                        const_value: None,
                         field_type: None,
                     });
                     if pending.derive_default {
@@ -502,7 +484,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         vis,
                         parent: parent.clone(),
                         gates,
-                        const_value: None,
                         field_type,
                     });
                     if kind == SymbolKind::Mod {
@@ -548,13 +529,11 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                             vis,
                             parent,
                             gates,
-                            const_value: None,
                             field_type: None,
                         });
                     }
                     i = j + 2;
                 } else if let Some(name) = tokens.get(j + 1) {
-                    let value = const_initializer_value(&tokens, j + 2);
                     out.symbols.push(Symbol {
                         name: name.text.clone(),
                         kind: SymbolKind::Const,
@@ -564,7 +543,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         vis,
                         parent,
                         gates,
-                        const_value: value,
                         field_type: None,
                     });
                     i = j + 1;
@@ -610,27 +588,22 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                 i = k;
             }
             "use" => {
-                let (next_i, mut paths) = parse_use(&tokens, j + 1, vis);
-                for p in &mut paths {
-                    p.line = kw.line;
-                    if vis == Visibility::Pub {
-                        if let Some(last) = p.segments.last() {
-                            out.symbols.push(Symbol {
-                                name: last.clone(),
-                                kind: SymbolKind::Reexport,
-                                file: rel.to_string(),
-                                line: kw.line,
-                                pos: kw.pos,
-                                vis,
-                                parent: None,
-                                gates: gates.clone(),
-                                const_value: None,
-                                field_type: None,
-                            });
-                        }
+                let (next_i, names) = use_leaves(&tokens, j + 1);
+                if vis == Visibility::Pub {
+                    for name in names {
+                        out.symbols.push(Symbol {
+                            name,
+                            kind: SymbolKind::Reexport,
+                            file: rel.to_string(),
+                            line: kw.line,
+                            pos: kw.pos,
+                            vis,
+                            parent: None,
+                            gates: gates.clone(),
+                            field_type: None,
+                        });
                     }
                 }
-                out.uses.extend(paths);
                 i = next_i;
             }
             "macro_rules" => {
@@ -645,7 +618,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                             vis,
                             parent: None,
                             gates,
-                            const_value: None,
                             field_type: None,
                         });
                     }
@@ -864,7 +836,6 @@ fn parse_field(
         vis,
         parent,
         gates,
-        const_value: None,
         field_type: Some(ty),
     });
     // Land on the comma's successor; a `}` is left for the main loop.
@@ -899,180 +870,42 @@ fn static_type_text(tokens: &[Token], i: usize) -> Option<String> {
     (!ty.is_empty()).then_some(ty)
 }
 
-/// Evaluates a `: Ty = expr;` tail starting at the `:` (token index `i`),
-/// returning the numeric value when the initializer is a simple constant
-/// expression (`123`, `0x5eed`, `32 * 1024`, `1 << 20`, parens).
-fn const_initializer_value(tokens: &[Token], i: usize) -> Option<i128> {
-    // Find the `=` at depth 0, then collect until `;`.
-    let mut k = i;
-    let mut depth = 0i32;
-    while k < tokens.len() {
-        match tokens[k].text.as_str() {
-            "(" | "[" | "{" | "<" => depth += 1,
-            ")" | "]" | "}" | ">" => depth -= 1,
-            ">>" => depth -= 2,
-            "=" if depth == 0 => break,
-            ";" if depth == 0 => return None,
-            _ => {}
-        }
-        k += 1;
-    }
-    let mut expr = Vec::new();
-    let mut j = k + 1;
-    let mut d2 = 0i32;
-    while j < tokens.len() {
-        let t = &tokens[j];
-        if t.is_punct(";") && d2 == 0 {
-            break;
-        }
-        match t.text.as_str() {
-            "(" => d2 += 1,
-            ")" => d2 -= 1,
-            _ => {}
-        }
-        expr.push(t);
-        j += 1;
-    }
-    eval_const_expr(&expr)
-}
-
-/// Evaluates a flat constant expression over `+ - * << ( )` and integer
-/// literals. Returns `None` for anything else (idents, casts, floats).
-fn eval_const_expr(tokens: &[&Token]) -> Option<i128> {
-    // Shunting-yard-free: recursive descent over a token slice.
-    fn parse_expr(t: &[&Token], i: &mut usize) -> Option<i128> {
-        let mut v = parse_term(t, i)?;
-        while *i < t.len() {
-            match t[*i].text.as_str() {
-                "+" => {
-                    *i += 1;
-                    v += parse_term(t, i)?;
-                }
-                "-" => {
-                    *i += 1;
-                    v -= parse_term(t, i)?;
-                }
-                "<<" => {
-                    *i += 1;
-                    let s = parse_term(t, i)?;
-                    v = v.checked_shl(u32::try_from(s).ok()?)?;
-                }
-                _ => break,
-            }
-        }
-        Some(v)
-    }
-    fn parse_term(t: &[&Token], i: &mut usize) -> Option<i128> {
-        let mut v = parse_atom(t, i)?;
-        while *i < t.len() && t[*i].text == "*" {
-            *i += 1;
-            v *= parse_atom(t, i)?;
-        }
-        Some(v)
-    }
-    fn parse_atom(t: &[&Token], i: &mut usize) -> Option<i128> {
-        let tok = t.get(*i)?;
-        if tok.is_punct("(") {
-            *i += 1;
-            let v = parse_expr(t, i)?;
-            if !t.get(*i)?.is_punct(")") {
-                return None;
-            }
-            *i += 1;
-            return Some(v);
-        }
-        if tok.is_punct("-") {
-            *i += 1;
-            return Some(-parse_atom(t, i)?);
-        }
-        if tok.kind == TokKind::Num {
-            *i += 1;
-            return parse_int(&tok.text);
-        }
-        None
-    }
-    let mut i = 0usize;
-    let v = parse_expr(tokens, &mut i)?;
-    (i == tokens.len()).then_some(v)
-}
-
-/// Parses an integer literal with `_` separators, `0x`/`0b`/`0o`
-/// prefixes and an optional type suffix (`100_000u64`).
-pub fn parse_int(text: &str) -> Option<i128> {
-    let t = text.replace('_', "");
-    let (digits, radix) = if let Some(h) = t.strip_prefix("0x") {
-        (h.to_string(), 16)
-    } else if let Some(b) = t.strip_prefix("0b") {
-        (b.to_string(), 2)
-    } else if let Some(o) = t.strip_prefix("0o") {
-        (o.to_string(), 8)
-    } else {
-        (t, 10)
-    };
-    // Strip a trailing type suffix (u8/i64/usize/…).
-    let digits = digits
-        .trim_end_matches(|c: char| {
-            c.is_ascii_alphabetic() && !(radix == 16 && c.is_ascii_hexdigit())
-        })
-        .to_string();
-    if digits.is_empty() {
-        return None;
-    }
-    i128::from_str_radix(&digits, radix).ok()
-}
-
-/// Parses a `use` path starting after the `use` keyword. Handles simple
-/// paths, `as` renames and one level of `{…}` groups (what this
-/// workspace uses).
-fn parse_use(tokens: &[Token], i: usize, vis: Visibility) -> (usize, Vec<UsePath>) {
-    let mut prefix: Vec<String> = Vec::new();
-    let mut paths = Vec::new();
+/// The names a `use` declaration binds, starting after the `use`
+/// keyword: the last segment of each path (`as` renames keep the
+/// original name; one level of `{…}` groups, which is what this
+/// workspace uses). Returns the index after the terminating `;` too.
+fn use_leaves(tokens: &[Token], i: usize) -> (usize, Vec<String>) {
+    let mut names = Vec::new();
+    let mut last: Option<String> = None;
     let mut k = i;
     while k < tokens.len() && !tokens[k].is_punct(";") {
         let t = &tokens[k];
-        if t.kind == TokKind::Ident && t.text != "as" {
-            prefix.push(t.text.clone());
-            k += 1;
-        } else if t.is_punct("::") {
-            k += 1;
-        } else if t.is_punct("{") {
-            // Group: each comma-separated leaf extends the prefix.
-            let close = skip_balanced(tokens, k);
-            let mut leaf: Vec<String> = Vec::new();
-            for t in &tokens[k + 1..close.saturating_sub(1)] {
-                if t.kind == TokKind::Ident && t.text != "as" {
-                    leaf.push(t.text.clone());
-                } else if t.is_punct(",") {
-                    if !leaf.is_empty() {
-                        let mut segs = prefix.clone();
-                        segs.append(&mut leaf);
-                        paths.push(UsePath { segments: segs, line: 0, vis });
-                    }
-                } else if t.is_punct("*") {
-                    leaf.push("*".to_string());
-                }
-            }
-            if !leaf.is_empty() {
-                let mut segs = prefix.clone();
-                segs.extend(leaf);
-                paths.push(UsePath { segments: segs, line: 0, vis });
-            }
-            prefix.clear();
-            k = close;
-        } else if t.is_punct("*") {
-            prefix.push("*".to_string());
-            k += 1;
-        } else if t.is_ident("as") {
+        if t.is_ident("as") {
             // Skip the rename ident.
             k += 2;
+        } else if t.kind == TokKind::Ident || t.is_punct("*") {
+            last = Some(t.text.clone());
+            k += 1;
+        } else if t.is_punct("{") {
+            // Group: each comma-separated leaf names one binding.
+            let close = skip_balanced(tokens, k);
+            let mut leaf: Option<String> = None;
+            for t in &tokens[k + 1..close.saturating_sub(1)] {
+                if (t.kind == TokKind::Ident && t.text != "as") || t.is_punct("*") {
+                    leaf = Some(t.text.clone());
+                } else if t.is_punct(",") {
+                    names.extend(leaf.take());
+                }
+            }
+            names.extend(leaf);
+            last = None;
+            k = close;
         } else {
             k += 1;
         }
     }
-    if !prefix.is_empty() {
-        paths.push(UsePath { segments: prefix, line: 0, vis });
-    }
-    (k + 1, paths)
+    names.extend(last);
+    (k + 1, names)
 }
 
 /// The whole-workspace symbol index.
@@ -1129,7 +962,7 @@ mod tests {
         assert_eq!(find("a").field_type.as_deref(), Some("u64"));
         assert_eq!(find("b").vis, Visibility::Private);
         assert_eq!(find("helper").vis, Visibility::PubCrate);
-        assert_eq!(find("LIMIT").const_value, Some(32 * 1024));
+        assert_eq!(find("LIMIT").kind, SymbolKind::Const);
         assert_eq!(find("E").kind, SymbolKind::Enum);
         assert_eq!(find("hidden").vis, Visibility::Pub);
     }
@@ -1145,22 +978,6 @@ mod tests {
         assert_eq!(get.qualified(), "C::get");
         let fmt = s.symbols.iter().find(|s| s.name == "fmt").expect("fmt");
         assert_eq!(fmt.parent.as_deref(), Some("C"), "impl Trait for C: parent is C");
-    }
-
-    #[test]
-    fn const_values_evaluate() {
-        let s = syms(
-            "pub const A: u64 = 100_000;\npub const B: u64 = 0x5eed_2011;\n\
-             pub const C: u64 = 4 * 1024 * 1024;\npub const D: u64 = 1 << 20;\n\
-             pub const E: u64 = (2 + 3) * 4;\npub const F: u64 = other();\n",
-        );
-        let v = |n: &str| s.symbols.iter().find(|s| s.name == n).unwrap().const_value;
-        assert_eq!(v("A"), Some(100_000));
-        assert_eq!(v("B"), Some(0x5eed_2011));
-        assert_eq!(v("C"), Some(4 * 1024 * 1024));
-        assert_eq!(v("D"), Some(1 << 20));
-        assert_eq!(v("E"), Some(20));
-        assert_eq!(v("F"), None, "non-literal initializers have no value");
     }
 
     #[test]
@@ -1192,21 +1009,19 @@ fn body() {\n    #[cfg(feature = \"debug_invariants\")]\n    audit.enable();\n  
     }
 
     #[test]
-    fn use_paths_flatten() {
+    fn pub_use_records_reexports() {
         let s = syms(
             "use nucache_common::{CacheStats, telemetry::Event};\n\
-             use std::collections::BTreeMap;\n\
-             pub use crate::config::NuCacheConfig;\n",
+             pub use crate::config::{NuCacheConfig, policy::*};\n\
+             pub use crate::stats::Stats as Renamed;\n",
         );
-        let segs: Vec<String> = s.uses.iter().map(|u| u.segments.join("::")).collect();
-        assert!(segs.contains(&"nucache_common::CacheStats".to_string()));
-        assert!(segs.contains(&"nucache_common::telemetry::Event".to_string()));
-        assert!(segs.contains(&"std::collections::BTreeMap".to_string()));
-        // The pub use is also recorded as a re-export symbol.
-        assert!(s
+        let reexports: Vec<&str> = s
             .symbols
             .iter()
-            .any(|s| s.kind == SymbolKind::Reexport && s.name == "NuCacheConfig"));
+            .filter(|s| s.kind == SymbolKind::Reexport)
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(reexports, ["NuCacheConfig", "*", "Stats"], "private uses bind no re-export");
     }
 
     #[test]

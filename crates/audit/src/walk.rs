@@ -37,8 +37,8 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 pub struct FileClass {
     /// Crate the file belongs to (`nucache-core`, `root`, `vendor/rand`, …).
     pub crate_name: String,
-    /// Vendored third-party code (`vendor/*`): only `forbid-unsafe-missing`
-    /// is checked there, and only at crate roots.
+    /// Vendored third-party code (`vendor/*`): outside the semantic and
+    /// effect lints' scope.
     pub is_vendor: bool,
     /// Integration-test file (`tests/` directory).
     pub is_test_dir: bool,
@@ -48,9 +48,6 @@ pub struct FileClass {
     pub is_bin: bool,
     /// Example program (`examples/` directory).
     pub is_example: bool,
-    /// Crate root (`src/lib.rs` or `src/main.rs`): must carry
-    /// `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
     /// Build script (`build.rs`).
     pub is_build_script: bool,
 }
@@ -69,19 +66,8 @@ pub fn classify(rel: &str) -> FileClass {
     let file = parts.last().copied().unwrap_or("");
     let in_bin_dir = parts.windows(2).any(|w| w == ["src", "bin"]);
     let is_bin = in_bin_dir || (file == "main.rs" && parts.contains(&"src"));
-    let is_crate_root =
-        (file == "lib.rs" || file == "main.rs") && parts.iter().rev().nth(1) == Some(&"src");
     let is_build_script = rel.ends_with("build.rs") && !parts.contains(&"src");
-    FileClass {
-        crate_name,
-        is_vendor,
-        is_test_dir,
-        is_bench,
-        is_bin,
-        is_example,
-        is_crate_root,
-        is_build_script,
-    }
+    FileClass { crate_name, is_vendor, is_test_dir, is_bench, is_bin, is_example, is_build_script }
 }
 
 #[cfg(test)]
@@ -92,16 +78,8 @@ mod tests {
     fn classify_core_lib() {
         let c = classify("crates/core/src/llc.rs");
         assert_eq!(c.crate_name, "nucache-core");
-        assert!(!c.is_crate_root && !c.is_bin && !c.is_test_dir);
-    }
-
-    #[test]
-    fn classify_crate_roots() {
-        assert!(classify("crates/core/src/lib.rs").is_crate_root);
-        assert!(classify("src/lib.rs").is_crate_root);
-        assert!(classify("vendor/rand/src/lib.rs").is_crate_root);
-        assert!(!classify("crates/core/src/llc.rs").is_crate_root);
-        let bin = classify("crates/experiments/src/bin/simulate.rs");
-        assert!(bin.is_bin && !bin.is_crate_root);
+        assert!(!c.is_bin && !c.is_test_dir);
+        assert!(classify("crates/experiments/src/bin/simulate.rs").is_bin);
+        assert!(classify("vendor/rand/src/lib.rs").is_vendor);
     }
 }

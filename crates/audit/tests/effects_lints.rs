@@ -1,7 +1,8 @@
 //! Integration tests for the flow-aware effect lints, driven by the
 //! `tests/fixtures/hotpath` mini-workspace: one `audit:hot-path` root
 //! with a deliberately seeded `Vec::push`, a justified indexing panic,
-//! a whole-function allocation boundary, and a lock-discipline pair.
+//! a whole-function allocation boundary tagged in the documented
+//! allocation contract, and a lock-discipline pair.
 
 #![expect(clippy::expect_used, reason = "fixture loading fails only on a broken checkout")]
 
@@ -29,7 +30,7 @@ fn of_lint<'d>(diags: &'d [Diagnostic], lint: &str) -> Vec<&'d Diagnostic> {
 /// without a site annotation is flagged even when a ledger line exists.
 fn full_ledger() -> Justifications {
     let text = "\
-        alloc-in-hot-path nucache-engine Engine::epoch fn -- epoch scratch, amortized\n\
+        alloc-in-hot-path nucache-engine Engine::epoch fn [epoch-scratch] -- epoch scratch, amortized\n\
         panic-in-hot-path nucache-engine Engine::locate index -- addr is reduced mod 7, slots holds 7 entries\n\
         lock-held-across-call nucache-engine Shared::absorb push -- fixture tolerates the bad pattern\n";
     let (just, errs) = Justifications::parse(text);
@@ -83,6 +84,38 @@ fn fully_justified_fixture_reports_only_the_seeded_push() {
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].lint, "alloc-in-hot-path");
     assert!(diags[0].message.contains("`Engine::record` allocates (`push`)"), "{diags:?}");
+}
+
+#[test]
+fn allocation_contract_and_ledger_tags_must_agree() {
+    // The documented exception loses its tagged ledger entry.
+    let mut just = full_ledger();
+    for e in &mut just.entries {
+        e.tag = None;
+    }
+    let diags = run(&just);
+    let drift = of_lint(&diags, "alloc-contract-drift");
+    assert_eq!(drift.len(), 1, "{diags:?}");
+    assert!(drift[0].message.contains("`epoch-scratch` is documented"), "{drift:?}");
+    assert!(drift[0].file.ends_with("engine/src/lib.rs"), "{drift:?}");
+
+    // A ledger tag the allocation contract does not enumerate.
+    let mut just = full_ledger();
+    let epoch = just
+        .entries
+        .iter_mut()
+        .find(|e| e.func == "Engine::epoch")
+        .expect("fixture ledger has the epoch entry");
+    epoch.tag = Some("undocumented-growth".to_string());
+    let diags = run(&just);
+    let drift: Vec<&str> =
+        of_lint(&diags, "alloc-contract-drift").iter().map(|d| d.message.as_str()).collect();
+    assert_eq!(drift.len(), 2, "{drift:?}");
+    assert!(
+        drift.iter().any(|m| m.contains("[undocumented-growth] is not documented")),
+        "{drift:?}"
+    );
+    assert!(drift.iter().any(|m| m.contains("`epoch-scratch` is documented")), "{drift:?}");
 }
 
 #[test]

@@ -1,8 +1,5 @@
 //! Known-good counter wiring: incremented, read, resettable, documented.
 
-/// Epoch length bound by the fixture's DESIGN.md table.
-pub const EPOCH_LEN: u64 = 100;
-
 /// Counters with a derive(Default) reset path.
 #[derive(Default)]
 pub struct CoreStats {

@@ -1,12 +1,17 @@
 //! Hot-path effect-lint fixture: one annotated root (`serve`) with a
 //! deliberately seeded allocation (`record`'s bare `Vec::push`), a
 //! justified panic source (`locate`'s indexing), an allocation boundary
-//! (`epoch`), and a lock-discipline pair (`absorb` bad, `read_one` good).
+//! (`epoch`, tagged in the allocation contract), and a lock-discipline
+//! pair (`absorb` bad, `read_one` good).
 #![forbid(unsafe_code)]
 
 use std::sync::Mutex;
 
 /// A toy cache engine whose `serve` path mirrors the kernel contract.
+///
+/// # Allocation behaviour
+///
+/// * `epoch-scratch` — `epoch` copies the log once per window.
 pub struct Engine {
     slots: Vec<u64>,
     log: Vec<u64>,

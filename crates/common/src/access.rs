@@ -94,6 +94,7 @@ impl fmt::Display for Access {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::format;
 
     #[test]
     fn write_detection() {

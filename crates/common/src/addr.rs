@@ -169,6 +169,7 @@ impl fmt::Display for CoreId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::format;
 
     #[test]
     fn addr_line_and_offset_roundtrip() {

@@ -142,6 +142,7 @@ pub fn harmonic_mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::format;
 
     #[test]
     fn rates_zero_on_empty() {

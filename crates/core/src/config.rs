@@ -19,7 +19,7 @@ pub use nucache_kernel::{
 /// candidates, Next-Use monitoring on 1 set in 32, and a 100k-access
 /// selection epoch. The design-point values are the named `DEFAULT_*`
 /// constants above; DESIGN.md binds its configuration table to them
-/// (checked by `nucache-audit lint`, lint `doc-constant-drift`).
+/// (checked by `crates/sim/tests/config_contract.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NuCacheConfig {
     /// Number of ways per set reserved as DeliWays (the remaining ways
