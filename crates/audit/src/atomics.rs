@@ -12,24 +12,17 @@
 //! The rationale: `SeqCst` is the only ordering that needs no argument,
 //! so every weaker choice is a claim about the surrounding protocol —
 //! the ledger entry (`<identity>:<op>:<Ordering>` in
-//! `crates/audit/concurrency.txt`) records that claim where review can
+//! `crates/audit/ledger.txt`) records that claim where review can
 //! see it. Mixing orderings on one field is additionally suspect unless
 //! the field itself carries the acquire/release pair that makes the mix
 //! a protocol rather than an accident.
 
-use crate::diag::{Diagnostic, Severity};
 use crate::effects::{EffectModel, FnInfo};
-use crate::hotpath::{Justification, Justifications, STUB_REASON};
-use crate::locks::{receiver_segments, resolve_identity, LockUniverse, CONCURRENCY_LEDGER};
+use crate::ledger::Ledger;
+use crate::locks::{receiver_segments, resolve_identity, LockUniverse};
 use crate::resolve::Workspace;
 use crate::symbols::{TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The atomic-lint names and one-line rules, for `--help`-style listings.
-pub const ATOMIC_LINTS: &[(&str, &str)] = &[(
-    "atomic-ordering",
-    "non-SeqCst atomic ops need ledger justification; mixed orderings on one atomic need an acquire/release pair",
-)];
 
 /// Method names that, combined with an ordering argument, identify an
 /// atomic operation.
@@ -132,89 +125,34 @@ fn atomic_ops(toks: &[Token], fi: usize, f: &FnInfo, uni: &LockUniverse) -> Vec<
     out
 }
 
-/// Runs the atomic-ordering lint, returning diagnostics and the full
-/// set of required ledger entries for `--update-justify`.
-pub fn run_atomic_lints(
-    ws: &Workspace,
-    model: &EffectModel,
-    just: &Justifications,
-) -> (Vec<Diagnostic>, Vec<Justification>) {
+/// Runs the atomic-ordering lint, checking every finding against
+/// `ledger`.
+pub(crate) fn run_atomic_lints(ws: &Workspace, model: &EffectModel, ledger: &mut Ledger<'_>) {
+    let lint = "atomic-ordering";
     let uni = LockUniverse::build(ws);
-    let mut diags = Vec::new();
-    let mut required: Vec<Justification> = Vec::new();
-    let mut used: BTreeSet<usize> = BTreeSet::new();
-
     let mut ops: Vec<AtomicOp> = Vec::new();
     for (fi, f) in model.fns.iter().enumerate() {
-        if f.span.body.is_empty() {
-            continue;
+        if !f.span.body.is_empty() {
+            ops.extend(atomic_ops(&ws.files[f.file].tokens, fi, f, &uni));
         }
-        ops.extend(atomic_ops(&ws.files[f.file].tokens, fi, f, &uni));
     }
-
-    // A covering entry whose reason is still the `--update-justify`
-    // stub is a hard finding: a stub is scaffolding, not a
-    // justification. (Collected separately because `diags` is also
-    // pushed to between `require` calls.)
-    let mut stub_diags: Vec<Diagnostic> = Vec::new();
-    let mut require = |f: &FnInfo, source: &str| -> bool {
-        let covered = just.covers("atomic-ordering", &f.crate_name, &f.qualified(), source);
-        if let Some(i) = covered {
-            used.insert(i);
-            if just.entries[i].reason == STUB_REASON {
-                stub_diags.push(Diagnostic {
-                    file: ws.files[f.file].rel.clone(),
-                    line: f.span.line,
-                    lint: "stub-justification",
-                    message: format!(
-                        "ledger entry `atomic-ordering {} {} {source}` still carries the \
-                         `--update-justify` stub reason; write a real justification",
-                        f.crate_name,
-                        f.qualified()
-                    ),
-                    severity: Severity::Error,
-                });
-            }
-        }
-        let entry = match covered {
-            Some(i) => just.entries[i].clone(),
-            None => Justification {
-                lint: "atomic-ordering".to_string(),
-                krate: f.crate_name.clone(),
-                func: f.qualified(),
-                source: source.to_string(),
-                tag: None,
-                reason: STUB_REASON.to_string(),
-            },
-        };
-        if !required.contains(&entry) {
-            required.push(entry);
-        }
-        covered.is_some()
-    };
 
     // Rule 1: every non-SeqCst ordering is a per-site claim.
     for op in &ops {
         let f = &model.fns[op.fn_idx];
-        for ord in &op.orderings {
-            if ord == "SeqCst" {
-                continue;
-            }
-            let source = format!("{}:{}:{ord}", op.ident, op.op);
-            if !require(f, &source) {
-                diags.push(Diagnostic {
-                    file: ws.files[f.file].rel.clone(),
-                    line: op.line,
-                    lint: "atomic-ordering",
-                    message: format!(
-                        "`{}` uses `{}({ord})` on `{}` without a concurrency-ledger justification",
-                        f.qualified(),
-                        op.op,
-                        op.ident
-                    ),
-                    severity: Severity::Error,
-                });
-            }
+        for ord in op.orderings.iter().filter(|o| *o != "SeqCst") {
+            ledger.check(
+                lint,
+                f,
+                &format!("{}:{}:{ord}", op.ident, op.op),
+                op.line,
+                format!(
+                    "`{}` uses `{}({ord})` on `{}` without a ledger justification",
+                    f.qualified(),
+                    op.op,
+                    op.ident
+                ),
+            );
         }
     }
 
@@ -242,43 +180,15 @@ pub fn run_atomic_lints(
             continue;
         }
         let first = group[0];
-        let f = &model.fns[first.fn_idx];
-        let source = format!("{ident}:mixed");
-        if !require(f, &source) {
-            diags.push(Diagnostic {
-                file: ws.files[f.file].rel.clone(),
-                line: first.line,
-                lint: "atomic-ordering",
-                message: format!(
-                    "`{ident}` mixes orderings {{{}}} without an acquire/release pairing on the same atomic",
-                    distinct.into_iter().collect::<Vec<_>>().join(", ")
-                ),
-                severity: Severity::Error,
-            });
-        }
+        ledger.check(
+            lint,
+            &model.fns[first.fn_idx],
+            &format!("{ident}:mixed"),
+            first.line,
+            format!(
+                "`{ident}` mixes orderings {{{}}} without an acquire/release pairing on the same atomic",
+                distinct.into_iter().collect::<Vec<_>>().join(", ")
+            ),
+        );
     }
-
-    diags.extend(stub_diags);
-
-    // Stale entries among the atomic lints are findings, same contract
-    // as the hotpath ledger.
-    for (i, e) in just.entries.iter().enumerate() {
-        if !ATOMIC_LINTS.iter().any(|(l, _)| *l == e.lint) {
-            continue; // lock-lint entries are judged by `locks`
-        }
-        if !used.contains(&i) {
-            diags.push(Diagnostic {
-                file: CONCURRENCY_LEDGER.to_string(),
-                line: 0,
-                lint: "atomic-ordering",
-                message: format!(
-                    "stale ledger entry `{}` — no current finding requires it",
-                    e.render()
-                ),
-                severity: Severity::Error,
-            });
-        }
-    }
-
-    (diags, required)
 }

@@ -138,9 +138,6 @@ const PANIC_NAMES: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
 const PANIC_MACROS: &[&str] =
     &["panic", "assert", "assert_eq", "assert_ne", "unreachable", "todo", "unimplemented"];
 
-/// Lock-acquiring methods.
-const LOCK_NAMES: &[&str] = &["lock", "try_lock", "read", "write"];
-
 /// Lock-acquiring methods that are unambiguous even without a receiver
 /// type (`read`/`write` collide with I/O and slices too often to seed
 /// from name alone).
@@ -781,12 +778,6 @@ fn push_site(
     let allowed = scanned.allow_alloc_at(line).map(|a| a.reason.clone());
     info.direct = info.direct.union(effect);
     info.sites.push(EffectSite { effect, source: source.to_string(), line, tok, allowed });
-}
-
-/// Whether `LOCK_NAMES` (the wide net used by the guard detector, not
-/// the seeding table) contains `name`.
-pub fn is_lock_name(name: &str) -> bool {
-    LOCK_NAMES.contains(&name)
 }
 
 #[cfg(test)]

@@ -4,19 +4,8 @@
 //! comments, string literals and char literals are replaced by spaces
 //! (newlines preserved), so the lint passes can do plain substring
 //! matching without tripping over `"HashMap"` in a doc string. Comment
-//! text is not discarded entirely: `nucache-audit: allow(...)`
-//! suppression directives are parsed out of it.
-
-/// A suppression directive parsed from a comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suppression {
-    /// 1-indexed line the directive appears on.
-    pub line: usize,
-    /// Lint name inside `allow(...)` / `allow-file(...)`.
-    pub lint: String,
-    /// Whether the directive covers the whole file (`allow-file`).
-    pub file_wide: bool,
-}
+//! text is not discarded entirely: the `audit:` contract annotations
+//! are parsed out of it.
 
 /// The kind of a hot-path contract annotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +21,7 @@ pub enum AnnotationKind {
 
 /// A machine-checkable contract annotation parsed from a comment.
 ///
-/// Unlike [`Suppression`]s these are not escape hatches: the effects
-/// pass *requires* them on hot-path roots and allocation sites, and
+/// These are not escape hatches: the effects pass *requires* them on hot-path roots and allocation sites, and
 /// cross-checks every `allow-alloc` against the justification file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Annotation {
@@ -52,8 +40,6 @@ pub struct ScannedFile {
     /// Source with comments and string/char literals blanked to spaces.
     /// Line structure is identical to the input.
     pub blanked: String,
-    /// Suppression directives found in comments.
-    pub suppressions: Vec<Suppression>,
     /// Hot-path contract annotations found in comments.
     pub annotations: Vec<Annotation>,
     /// Inclusive 1-indexed line ranges of `#[cfg(test)]` items: each runs
@@ -62,22 +48,9 @@ pub struct ScannedFile {
 }
 
 impl ScannedFile {
-    /// Lines of the blanked source, 1-indexed via `enumerate() + 1`.
-    pub fn lines(&self) -> impl Iterator<Item = (usize, &str)> {
-        self.blanked.lines().enumerate().map(|(i, l)| (i + 1, l))
-    }
-
     /// Whether `line` is inside a `#[cfg(test)]` item.
     pub fn is_test_code(&self, line: usize) -> bool {
         self.test_regions.iter().any(|&(start, end)| (start..=end).contains(&line))
-    }
-
-    /// Whether `lint` is suppressed at `line` (same line, the line above,
-    /// or file-wide).
-    pub fn is_suppressed(&self, lint: &str, line: usize) -> bool {
-        self.suppressions
-            .iter()
-            .any(|s| s.lint == lint && (s.file_wide || s.line == line || s.line + 1 == line))
     }
 
     /// The `allow-alloc` annotation covering a site at `line` (the same
@@ -101,27 +74,6 @@ impl ScannedFile {
     }
 }
 
-/// Parses suppression directives out of one comment's text.
-fn parse_directives(comment: &str, line: usize, out: &mut Vec<Suppression>) {
-    let mut rest = comment;
-    while let Some(pos) = rest.find("nucache-audit:") {
-        rest = &rest[pos + "nucache-audit:".len()..];
-        let body = rest.trim_start();
-        for (prefix, file_wide) in [("allow-file(", true), ("allow(", false)] {
-            if let Some(inner) = body.strip_prefix(prefix) {
-                if let Some(end) = inner.find(')') {
-                    out.push(Suppression {
-                        line,
-                        lint: inner[..end].trim().to_string(),
-                        file_wide,
-                    });
-                }
-                break;
-            }
-        }
-    }
-}
-
 /// Parses hot-path contract annotations out of one comment's text.
 fn parse_annotations(comment: &str, line: usize, out: &mut Vec<Annotation>) {
     let mut rest = comment;
@@ -142,7 +94,7 @@ fn parse_annotations(comment: &str, line: usize, out: &mut Vec<Annotation>) {
 }
 
 /// Scans `source`, blanking comments and literals and collecting
-/// suppression directives.
+/// contract annotations.
 ///
 /// The lexer understands line and (nested) block comments, plain and raw
 /// strings (`r"…"`, `r#"…"#`, byte variants), char literals, and
@@ -150,7 +102,6 @@ fn parse_annotations(comment: &str, line: usize, out: &mut Vec<Annotation>) {
 pub fn scan(source: &str) -> ScannedFile {
     let bytes: Vec<char> = source.chars().collect();
     let mut blanked = String::with_capacity(source.len());
-    let mut suppressions = Vec::new();
     let mut annotations = Vec::new();
     let mut test_attrs = Vec::new();
     let mut line = 1usize;
@@ -183,13 +134,12 @@ pub fn scan(source: &str) -> ScannedFile {
         let c = bytes[i];
         let next = bytes.get(i + 1).copied();
         if c == '/' && next == Some('/') {
-            // Line comment: blank it, but harvest directives.
+            // Line comment: blank it, but harvest annotations.
             let start = i;
             while i < bytes.len() && bytes[i] != '\n' {
                 i += 1;
             }
             let text: String = bytes[start..i].iter().collect();
-            parse_directives(&text, line, &mut suppressions);
             parse_annotations(&text, line, &mut annotations);
             for _ in start..i {
                 blanked.push(' ');
@@ -214,7 +164,6 @@ pub fn scan(source: &str) -> ScannedFile {
                 }
             }
             let text: String = bytes[start..i].iter().collect();
-            parse_directives(&text, start_line, &mut suppressions);
             parse_annotations(&text, start_line, &mut annotations);
             for c in text.chars() {
                 blank!(c);
@@ -299,7 +248,7 @@ pub fn scan(source: &str) -> ScannedFile {
         .into_iter()
         .map(|at| (line_of(at), line_of(test_item_end(&chars, at))))
         .collect();
-    ScannedFile { blanked, suppressions, annotations, test_regions }
+    ScannedFile { blanked, annotations, test_regions }
 }
 
 /// Char index where the item annotated by the `#[cfg(test)]` at `attr`
@@ -414,18 +363,6 @@ mod tests {
         let s = scan("fn f<'a>(x: &'a str) -> &'a str { x } let c = 'x'; let q = HashMap;\n");
         assert!(s.blanked.contains("HashMap"), "scanning must not derail after lifetimes");
         assert!(!s.blanked.contains("'x'"));
-    }
-
-    #[test]
-    fn suppressions_are_parsed() {
-        let s = scan(
-            "// nucache-audit: allow(counter-dataflow) -- debugger only\nfoo();\n\
-             // nucache-audit: allow-file(dead-cross-crate-pub)\n",
-        );
-        assert!(s.is_suppressed("counter-dataflow", 1));
-        assert!(s.is_suppressed("counter-dataflow", 2), "next line is covered");
-        assert!(!s.is_suppressed("counter-dataflow", 3));
-        assert!(s.is_suppressed("dead-cross-crate-pub", 999), "file-wide covers everything");
     }
 
     #[test]

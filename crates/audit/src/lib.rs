@@ -17,35 +17,33 @@
 //! * `crates/sim/tests/config_contract.rs` checks the constants named
 //!   in the DESIGN.md and EXPERIMENTS.md tables against the code.
 //!
-//! The `lint` subcommand runs two workspace-level
-//! [semantic lints](semantic) over a lexical [symbol index](symbols) and
-//! name-based [reference resolution](resolve): `counter-dataflow` and
-//! `dead-cross-crate-pub`. See `DESIGN.md` §10 for the analysis model.
-//! A finding can be suppressed at the site with a justification comment:
+//! One run ([`run`]) loads the workspace once, builds the effect model
+//! once and runs all eleven lints ([`LINTS`]):
 //!
-//! ```text
-//! // nucache-audit: allow(counter-dataflow) -- exported via debugger only
-//! ```
+//! * two workspace-level [semantic lints](semantic) over a lexical
+//!   [symbol index](symbols) and name-based [reference
+//!   resolution](resolve): `counter-dataflow` and `dead-cross-crate-pub`,
+//!   the latter against `crates/audit/pub_baseline.txt`. See `DESIGN.md`
+//!   §10;
+//! * the flow-aware layer ([mod@cfg], [effects], [hotpath]) builds
+//!   per-function control-flow graphs, infers an `alloc`/`panic`/`lock`/`io`
+//!   effect set per function through the workspace call graph, and gates
+//!   the kernel's hot-path contracts (`alloc-in-hot-path`,
+//!   `panic-in-hot-path`, `lock-held-across-call`, `alloc-contract-drift`).
+//!   See `DESIGN.md` §14;
+//! * the concurrency-soundness layer ([locks], [atomics]) resolves every
+//!   `Mutex`/`RwLock` guard and atomic op to a concrete lock identity,
+//!   builds the workspace lock-acquisition-order graph, and gates
+//!   `lock-order-cycle`, `double-lock`, `guard-escapes-hot-path` and
+//!   `atomic-ordering`. See `DESIGN.md` §15.
 //!
-//! (on the same line or the line above), or for a whole file with
-//! `allow-file(lint-name)`. The scanner is a self-contained lexer — no
-//! external dependencies — so the audit builds and runs offline even when
-//! the simulator crates themselves are broken.
-//!
-//! The flow-aware layer ([mod@cfg], [effects], [hotpath]) builds per-function
-//! control-flow graphs, infers an `alloc`/`panic`/`lock`/`io` effect set
-//! per function through the workspace call graph, and gates the kernel's
-//! hot-path contracts (`alloc-in-hot-path`, `panic-in-hot-path`,
-//! `lock-held-across-call`, `alloc-contract-drift`) against a per-site
-//! justification file. See
-//! `DESIGN.md` §14.
-//!
-//! The concurrency-soundness layer ([locks], [atomics]) resolves every
-//! `Mutex`/`RwLock` guard and atomic op to a concrete lock identity,
-//! builds the workspace lock-acquisition-order graph, and gates
-//! `lock-order-cycle`, `double-lock`, `guard-escapes-hot-path` and
-//! `atomic-ordering` against the shared `crates/audit/concurrency.txt`
-//! ledger. See `DESIGN.md` §15.
+//! The effect, lock and atomic findings are checked against one
+//! [ledger] (`crates/audit/ledger.txt`), whose unedited stubs are
+//! `stub-justification` findings. The ledger and the dead-pub baseline
+//! are the only ways to tolerate a finding, and a stale entry in either
+//! is itself a finding. The scanner is a self-contained lexer — no
+//! external dependencies — so the audit builds and runs offline even
+//! when the simulator crates themselves are broken.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,6 +58,7 @@ pub mod cfg;
 pub mod diag;
 pub mod effects;
 pub mod hotpath;
+pub mod ledger;
 pub mod lexer;
 pub mod locks;
 pub mod manifest;
@@ -68,14 +67,82 @@ pub mod semantic;
 pub mod symbols;
 pub mod walk;
 
-pub use atomics::{run_atomic_lints, ATOMIC_LINTS};
 pub use cfg::{build_cfg, fn_spans, Cfg, FnSpan};
 pub use diag::{Diagnostic, Severity};
 pub use effects::{EffectModel, EffectSet, FnInfo};
-pub use hotpath::{run_effect_lints, Justifications, EFFECT_LINTS, STUB_REASON};
+pub use ledger::{Justification, Justifications, LEDGER_REL, STUB_REASON};
 pub use lexer::ScannedFile;
-pub use locks::{run_lock_lints, CONCURRENCY_LEDGER, LOCK_LINTS};
 pub use resolve::Workspace;
-pub use semantic::{dead_pub::Baseline, run_semantic_lints, SEMANTIC_LINTS};
+pub use semantic::dead_pub::{Baseline, BASELINE_REL};
 pub use symbols::{SymbolIndex, SymbolKind, Visibility};
 pub use walk::{classify, collect_rs_files, FileClass};
+
+/// Every lint id with its one-line rule, in report order.
+pub const LINTS: &[(&str, &str)] = &[
+    (
+        "counter-dataflow",
+        "counter fields must be incremented AND read outside tests, with a reset path",
+    ),
+    (
+        "dead-cross-crate-pub",
+        "pub items never referenced outside their crate must be baselined; stale entries are findings",
+    ),
+    (
+        "alloc-in-hot-path",
+        "no allocation reachable from audit:hot-path roots without audit:allow-alloc + ledger entry",
+    ),
+    (
+        "panic-in-hot-path",
+        "every panic source / unknown callee reachable from the kernel public API is justified",
+    ),
+    (
+        "lock-held-across-call",
+        "no lock guard live across a site or call that may allocate, lock or do I/O",
+    ),
+    (
+        "alloc-contract-drift",
+        "ledger allocation tags must equal the kernel's documented allocation exceptions",
+    ),
+    (
+        "lock-order-cycle",
+        "the workspace lock-acquisition-order graph must be acyclic across all call paths",
+    ),
+    (
+        "double-lock",
+        "no CFG path re-acquires a lock identity while a guard of the same identity is live",
+    ),
+    ("guard-escapes-hot-path", "an audit:hot-path fn must not return or store a lock guard"),
+    (
+        "atomic-ordering",
+        "non-SeqCst atomic ops need ledger justification; mixed orderings on one atomic need an acquire/release pair",
+    ),
+    (
+        "stub-justification",
+        "a ledger entry must not keep the `--update-justify` stub reason",
+    ),
+];
+
+/// Runs all eleven lints over `ws`: the semantic pair against
+/// `baseline`, the effect, lock and atomic families over `model`
+/// against the ledger `just`. Returns the findings sorted by (file,
+/// line, lint, message) and deduplicated, plus every ledger entry the
+/// tree requires (existing reasons kept, new ones stubbed) for
+/// `--update-justify`.
+pub fn run(
+    ws: &Workspace,
+    model: &EffectModel,
+    just: &Justifications,
+    baseline: &Baseline,
+) -> (Vec<Diagnostic>, Vec<Justification>) {
+    let mut ledger = ledger::Ledger::new(ws, just);
+    hotpath::run_effect_lints(ws, model, &mut ledger);
+    locks::run_lock_lints(ws, model, &mut ledger);
+    atomics::run_atomic_lints(ws, model, &mut ledger);
+    let (mut diags, required) = ledger.finish();
+    diags.extend(semantic::run_semantic_lints(ws, baseline));
+    diags.sort_by(|a, b| {
+        (&a.file, a.line, a.lint, &a.message).cmp(&(&b.file, b.line, b.lint, &b.message))
+    });
+    diags.dedup();
+    (diags, required)
+}

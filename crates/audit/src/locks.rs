@@ -20,40 +20,21 @@
 //! | `double-lock` | no CFG path re-acquires a lock identity while a guard of the same identity is still live |
 //! | `guard-escapes-hot-path` | an `// audit:hot-path` fn must not return or store a lock guard |
 //!
-//! Findings are tolerated only through the shared concurrency ledger
-//! `crates/audit/concurrency.txt` (same format and stale-entry contract
-//! as `hotpath.txt`; see [`crate::hotpath::Justifications`]).
+//! Findings are tolerated only through the [ledger](crate::ledger).
+//!
+//! This module also holds the one guard model both guard lints share:
+//! which statement binds a guard (`binding_name`, `guard_binding`),
+//! which functions hand one out (`is_guard_getter`) and which statements
+//! it is live across (`live_stmts`). `lock-held-across-call` and the
+//! order/double-lock scan below both read it.
 
-use crate::cfg::build_cfg;
-use crate::diag::{Diagnostic, Severity};
+use crate::cfg::{build_cfg, Cfg, Stmt};
 use crate::effects::{EffectModel, EffectSet, FnInfo};
-use crate::hotpath::{Justification, Justifications, STUB_REASON};
+use crate::ledger::Ledger;
 use crate::resolve::Workspace;
 use crate::symbols::{SymbolKind, TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The lock-lint names and one-line rules, for `--help`-style listings.
-pub const LOCK_LINTS: &[(&str, &str)] = &[
-    (
-        "lock-order-cycle",
-        "the workspace lock-acquisition-order graph must be acyclic across all call paths",
-    ),
-    (
-        "double-lock",
-        "no CFG path re-acquires a lock identity while a guard of the same identity is live",
-    ),
-    ("guard-escapes-hot-path", "an audit:hot-path fn must not return or store a lock guard"),
-];
-
-/// Relative path of the shared concurrency ledger (lock + atomic lints).
-pub const CONCURRENCY_LEDGER: &str = "crates/audit/concurrency.txt";
-
-/// Header written above regenerated concurrency ledgers.
-pub const CONCURRENCY_HEADER: &str =
-    "# Concurrency ledger: every entry tolerates one lock-discipline or\n\
-     # atomic-ordering finding.\n\
-     # Format: <lint> <crate> <Qualified::fn> <source> [tag] -- reason\n\
-     # Maintained by `nucache-audit locks --update-justify`; reasons are hand-written.\n";
+use std::ops::Range;
 
 /// Lock-acquiring method names that are unambiguous by name alone.
 const LOCK_OPS: &[&str] = &["lock", "try_lock"];
@@ -256,33 +237,24 @@ fn direct_acqs(toks: &[Token], f: &FnInfo, uni: &LockUniverse) -> Vec<Acq> {
     out
 }
 
-/// Runs the three lock-discipline lints, returning diagnostics and the
-/// full set of required ledger entries for `--update-justify`.
-pub fn run_lock_lints(
-    ws: &Workspace,
-    model: &EffectModel,
-    just: &Justifications,
-) -> (Vec<Diagnostic>, Vec<Justification>) {
+/// Runs the three lock-discipline lints, checking every finding
+/// against `ledger`.
+pub(crate) fn run_lock_lints(ws: &Workspace, model: &EffectModel, ledger: &mut Ledger<'_>) {
     let uni = LockUniverse::build(ws);
-    let mut cx = LockCx {
-        ws,
-        model,
-        just,
-        diags: Vec::new(),
-        required: Vec::new(),
-        used: BTreeSet::new(),
-        edges: BTreeMap::new(),
-    };
+    let mut cx = LockCx { ws, model, ledger, edges: BTreeMap::new() };
 
     // Per-fn direct acquisitions + guard-getter identities.
-    let mut acqs: Vec<Vec<Acq>> = Vec::with_capacity(model.fns.len());
-    for f in &model.fns {
-        if f.span.body.is_empty() {
-            acqs.push(Vec::new());
-            continue;
-        }
-        acqs.push(direct_acqs(&ws.files[f.file].tokens, f, &uni));
-    }
+    let acqs: Vec<Vec<Acq>> = model
+        .fns
+        .iter()
+        .map(|f| {
+            if f.span.body.is_empty() {
+                Vec::new()
+            } else {
+                direct_acqs(&ws.files[f.file].tokens, f, &uni)
+            }
+        })
+        .collect();
     let getter_ident: Vec<Option<String>> = model
         .fns
         .iter()
@@ -315,21 +287,18 @@ pub fn run_lock_lints(
     }
 
     for (fi, fn_acqs) in acqs.iter().enumerate() {
-        let f = model.fns[fi].clone();
-        if f.span.body.is_empty() {
-            continue;
+        if !model.fns[fi].span.body.is_empty() {
+            cx.scan_fn(fi, fn_acqs, &acquired, &getter_ident);
         }
-        cx.scan_fn(fi, &f, fn_acqs, &acquired, &getter_ident);
     }
     cx.lock_order_cycles();
-    cx.stale_entries();
-    let LockCx { diags, required, .. } = cx;
-    (diags, required)
 }
 
-/// Hotpath-style guard-getter detection: a tiny fn whose root statement
-/// is the lock chain itself (returned, not `let`-bound).
-fn is_guard_getter(ws: &Workspace, f: &FnInfo) -> bool {
+/// Guard-getter detection: a tiny fn whose root statement is the lock
+/// chain itself (returned, not `let`-bound) — calling one acquires a
+/// guard. Functions that lock, use and drop the guard internally
+/// (two-statement bodies starting with `let guard = …`) are not getters.
+pub(crate) fn is_guard_getter(ws: &Workspace, f: &FnInfo) -> bool {
     if !f.direct.contains(EffectSet::LOCK) || f.span.body.is_empty() {
         return false;
     }
@@ -343,8 +312,10 @@ fn is_guard_getter(ws: &Workspace, f: &FnInfo) -> bool {
 }
 
 /// Whether the root expression of `stmt` (past `let NAME =` if present)
-/// contains a `.lock(`-family chain at nesting depth 0.
-fn lock_chain_at_root(toks: &[Token], stmt: &std::ops::Range<usize>) -> bool {
+/// contains a `.lock(`-family chain at nesting depth 0, so
+/// `mem::take(&mut *slot().lock()…)` — a guard temporary consumed inside
+/// the statement — does not count.
+fn lock_chain_at_root(toks: &[Token], stmt: &Range<usize>) -> bool {
     let start = after_eq(toks, stmt).unwrap_or(stmt.start);
     root_positions(toks, start, stmt.end).into_iter().any(|i| {
         i + 2 < stmt.end
@@ -354,7 +325,8 @@ fn lock_chain_at_root(toks: &[Token], stmt: &std::ops::Range<usize>) -> bool {
     })
 }
 
-/// Token positions in `[start, end)` at nesting depth 0.
+/// Token positions in `[start, end)` at nesting depth 0 — on the root
+/// expression chain, not inside call arguments, blocks or literals.
 fn root_positions(toks: &[Token], start: usize, end: usize) -> Vec<usize> {
     let mut out = Vec::new();
     let mut depth = 0i32;
@@ -378,7 +350,7 @@ fn root_positions(toks: &[Token], start: usize, end: usize) -> Vec<usize> {
 }
 
 /// Position just past the first top-level `=` of `stmt`, if any.
-fn after_eq(toks: &[Token], stmt: &std::ops::Range<usize>) -> Option<usize> {
+fn after_eq(toks: &[Token], stmt: &Range<usize>) -> Option<usize> {
     let mut depth = 0i32;
     for i in stmt.clone() {
         match toks[i].text.as_str() {
@@ -394,7 +366,7 @@ fn after_eq(toks: &[Token], stmt: &std::ops::Range<usize>) -> Option<usize> {
 /// If `stmt` is `let [mut] name = …`, returns `name`. Uppercase-initial
 /// "names" are pattern destructures (`let Some(t0) = *slot.lock()…`):
 /// the guard is a statement-scoped temporary there, so they don't bind.
-fn binding_name(toks: &[Token], stmt: &std::ops::Range<usize>) -> Option<String> {
+fn binding_name(toks: &[Token], stmt: &Range<usize>) -> Option<String> {
     let mut it = stmt.clone();
     let first = it.next()?;
     if !toks[first].is_ident("let") {
@@ -417,114 +389,118 @@ fn binding_name(toks: &[Token], stmt: &std::ops::Range<usize>) -> Option<String>
     Some(name)
 }
 
-/// Finds `drop(NAME)` in `[from, to)`, returning its token position.
-fn find_drop(toks: &[Token], from: usize, to: usize, name: &str) -> Option<usize> {
-    (from..to.saturating_sub(2)).find(|&i| {
-        toks[i].is_ident("drop") && toks[i + 1].is_punct("(") && toks[i + 2].is_ident(name)
-    })
+/// If `stmt` binds a lock guard — `let name = …` whose root expression
+/// is a lock chain or a call to a guard getter (`getter[j]` per
+/// function) — returns `name`.
+pub(crate) fn guard_binding(
+    toks: &[Token],
+    stmt: &Range<usize>,
+    f: &FnInfo,
+    getter: &[bool],
+) -> Option<String> {
+    let name = binding_name(toks, stmt)?;
+    let root = root_positions(toks, after_eq(toks, stmt)?, stmt.end);
+    let via_getter =
+        f.calls.iter().any(|c| root.contains(&c.tok) && c.targets.iter().any(|&j| getter[j]));
+    (lock_chain_at_root(toks, stmt) || via_getter).then_some(name)
+}
+
+/// The statements a guard bound by statement `si` of block `bi` is live
+/// across: the rest of that block plus every block reachable from its
+/// successors, minus loop back-edges into earlier statements, cut at an
+/// explicit `drop(guard)` before `body_end`.
+pub(crate) fn live_stmts<'c>(
+    cfg: &'c Cfg,
+    toks: &[Token],
+    bi: usize,
+    si: usize,
+    guard: &str,
+    body_end: usize,
+) -> Vec<&'c Stmt> {
+    let block = &cfg.blocks[bi];
+    let bound = &block.stmts[si].tokens;
+    let drop_pos = (bound.end..body_end.saturating_sub(2)).find(|&i| {
+        toks[i].is_ident("drop") && toks[i + 1].is_punct("(") && toks[i + 2].is_ident(guard)
+    });
+    let mut marked = vec![false; cfg.blocks.len()];
+    for &succ in &block.succs {
+        for (j, r) in cfg.reachable_from(succ).iter().enumerate() {
+            marked[j] |= r;
+        }
+    }
+    let later = cfg.blocks.iter().enumerate().filter(|&(j, _)| marked[j] && j != bi);
+    block.stmts[si + 1..]
+        .iter()
+        .chain(later.flat_map(|(_, b)| &b.stmts))
+        .filter(|s| s.tokens.start > bound.start && drop_pos.is_none_or(|d| s.tokens.start < d))
+        .collect()
 }
 
 /// Shared lint-pass state for the lock lints.
-struct LockCx<'a> {
+struct LockCx<'a, 'l> {
     ws: &'a Workspace,
     model: &'a EffectModel,
-    just: &'a Justifications,
-    diags: Vec<Diagnostic>,
-    required: Vec<Justification>,
-    used: BTreeSet<usize>,
+    ledger: &'a mut Ledger<'l>,
     /// Acquisition-order edges `A→B` with first-seen provenance
     /// `(fn index, line)`.
     edges: BTreeMap<(String, String), (usize, usize)>,
 }
 
-impl LockCx<'_> {
-    fn file_rel(&self, f: &FnInfo) -> String {
-        self.ws.files[f.file].rel.clone()
-    }
-
-    /// Records a required ledger entry (deduplicated), returning whether
-    /// the current ledger already covers it. A covering entry whose
-    /// reason is still the [`STUB_REASON`] placeholder is flagged as a
-    /// hard finding: a stub is scaffolding, not a justification.
-    fn require(&mut self, lint: &str, f: &FnInfo, source: &str) -> bool {
-        let func = f.qualified();
-        let covered = self.just.covers(lint, &f.crate_name, &func, source);
-        if let Some(i) = covered {
-            self.used.insert(i);
-            if self.just.entries[i].reason == STUB_REASON {
-                let line = f.span.line;
-                self.diag(
-                    "stub-justification",
-                    f,
-                    line,
-                    format!(
-                        "ledger entry `{lint} {} {func} {source}` still carries the \
-                         `--update-justify` stub reason; write a real justification",
-                        f.crate_name
-                    ),
-                );
-            }
-        }
-        let entry = match covered {
-            Some(i) => self.just.entries[i].clone(),
-            None => Justification {
-                lint: lint.to_string(),
-                krate: f.crate_name.clone(),
-                func,
-                source: source.to_string(),
-                tag: None,
-                reason: STUB_REASON.to_string(),
-            },
-        };
-        if !self.required.contains(&entry) {
-            self.required.push(entry);
-        }
-        covered.is_some()
-    }
-
-    fn diag(&mut self, lint: &'static str, f: &FnInfo, line: usize, message: String) {
-        self.diags.push(Diagnostic {
-            file: self.file_rel(f),
-            line,
-            lint,
-            message,
-            severity: Severity::Error,
-        });
-    }
-
+impl LockCx<'_, '_> {
     /// Relates a live guard of `held` to a later acquisition of `other`:
     /// same identity is a double-lock, different identities an order edge.
-    fn relate(&mut self, f: &FnInfo, held: &str, other: &str, line: usize, fi: usize, via: &str) {
+    fn relate(&mut self, fi: usize, held: &str, other: &str, line: usize, via: &str) {
         if held == other {
-            if !self.require("double-lock", f, held) {
-                self.diag(
-                    "double-lock",
-                    f,
-                    line,
-                    format!(
-                        "`{}` re-acquires `{held}` {via} while a guard of it is still live",
-                        f.qualified()
-                    ),
-                );
-            }
+            let f = &self.model.fns[fi];
+            self.ledger.check(
+                "double-lock",
+                f,
+                held,
+                line,
+                format!(
+                    "`{}` re-acquires `{held}` {via} while a guard of it is still live",
+                    f.qualified()
+                ),
+            );
         } else {
             self.edges.entry((held.to_string(), other.to_string())).or_insert((fi, line));
         }
     }
 
+    /// Relates a guard of `held` to everything `call` may acquire; a
+    /// guard-getter call is already one of the function's acquisitions.
+    fn relate_call(
+        &mut self,
+        fi: usize,
+        held: &str,
+        call: &crate::effects::CallSite,
+        acquired: &[BTreeSet<String>],
+        getter_ident: &[Option<String>],
+    ) {
+        if call.targets.iter().any(|&j| getter_ident[j].is_some()) {
+            return;
+        }
+        let via = format!("via call to `{}`", call.name);
+        for &j in &call.targets {
+            for other in &acquired[j] {
+                self.relate(fi, held, other, call.line, &via);
+            }
+        }
+    }
+
     /// Scans one function: same-statement acquisition pairs, and — for
     /// `let`-bound guards — every acquisition or lock-acquiring call in
-    /// the guard's CFG-live region (cut at `drop(guard)`).
+    /// the guard's [live statements](live_stmts).
     fn scan_fn(
         &mut self,
         fi: usize,
-        f: &FnInfo,
         acqs: &[Acq],
         acquired: &[BTreeSet<String>],
         getter_ident: &[Option<String>],
     ) {
-        let toks = self.ws.files[f.file].tokens.clone();
-        let toks = &toks[..];
+        let model = self.model;
+        let f = &model.fns[fi];
+        let toks = &self.ws.files[f.file].tokens;
         let cfg = build_cfg(toks, f.span.body.clone());
 
         // Acquisitions including getter calls (the call acquires the
@@ -536,12 +512,6 @@ impl LockCx<'_> {
             }
         }
         all_acqs.sort_by_key(|a| a.tok);
-        if all_acqs.is_empty() {
-            // No acquisition in this fn means no guard is ever held here,
-            // so no ordering edges can originate from it.
-            self.guard_escape(f, toks, &cfg, &[]);
-            return;
-        }
 
         // Same-statement ordering: a guard temporary lives to the end of
         // its statement, so every later acquisition / lock-acquiring
@@ -553,103 +523,39 @@ impl LockCx<'_> {
         // guards *inside* swallowed closures get no cross-statement
         // liveness tracking; the interleaving explorer covers those
         // seams dynamically.
-        let stmts: Vec<std::ops::Range<usize>> =
-            cfg.blocks.iter().flat_map(|b| b.stmts.iter().map(|s| s.tokens.clone())).collect();
-        let semi_between =
-            |a: usize, b: usize| -> bool { toks[a..b].iter().any(|t| t.is_punct(";")) };
+        let stmts: Vec<&Range<usize>> =
+            cfg.blocks.iter().flat_map(|b| b.stmts.iter().map(|s| &s.tokens)).collect();
+        let semi_between = |a: usize, b: usize| toks[a..b].iter().any(|t| t.is_punct(";"));
         for (k, a) in all_acqs.iter().enumerate() {
             let Some(stmt) = stmts.iter().find(|r| r.contains(&a.tok)) else { continue };
             for b in &all_acqs[k + 1..] {
-                if !stmt.contains(&b.tok) || semi_between(a.tok, b.tok) {
-                    continue;
+                if stmt.contains(&b.tok) && !semi_between(a.tok, b.tok) {
+                    self.relate(fi, &a.ident, &b.ident, b.line, "in the same statement");
                 }
-                let (h, o, line) = (a.ident.clone(), b.ident.clone(), b.line);
-                self.relate(f, &h, &o, line, fi, "in the same statement");
             }
             for call in &f.calls {
-                if !stmt.contains(&call.tok) || call.tok <= a.tok || semi_between(a.tok, call.tok) {
-                    continue;
-                }
-                if call.targets.iter().any(|&j| getter_ident[j].is_some()) {
-                    continue; // already counted as an acquisition
-                }
-                let held = a.ident.clone();
-                let others: Vec<String> =
-                    call.targets.iter().flat_map(|&j| acquired[j].iter().cloned()).collect();
-                let (name, line) = (call.name.clone(), call.line);
-                for o in others {
-                    self.relate(f, &held, &o, line, fi, &format!("via call to `{name}`"));
+                if stmt.contains(&call.tok) && call.tok > a.tok && !semi_between(a.tok, call.tok) {
+                    self.relate_call(fi, &a.ident, call, acquired, getter_ident);
                 }
             }
         }
 
+        // `let`-bound guards: CFG liveness across statements.
         for (bi, block) in cfg.blocks.iter().enumerate() {
             for (si, stmt) in block.stmts.iter().enumerate() {
-                // `let`-bound guards: CFG liveness across statements.
                 let Some(guard) = binding_name(toks, &stmt.tokens) else { continue };
-                let bound: Vec<&Acq> = all_acqs
-                    .iter()
-                    .filter(|a| {
-                        if !stmt.tokens.contains(&a.tok) {
-                            return false;
-                        }
-                        let start = after_eq(toks, &stmt.tokens).unwrap_or(stmt.tokens.start);
-                        // The op ident sits at depth 0 of the root chain;
-                        // getter-call acquisitions likewise.
-                        root_positions(toks, start, stmt.tokens.end).contains(&a.tok)
-                    })
-                    .collect();
-                let Some(acq) = bound.first() else { continue };
-                let held = acq.ident.clone();
-                let drop_pos = find_drop(toks, stmt.tokens.end, f.span.body.end, &guard);
-                let mut live: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-                for s in &block.stmts[si + 1..] {
-                    live.push((s.line, s.tokens.clone()));
-                }
-                let mut marked = vec![false; cfg.blocks.len()];
-                for &succ in &block.succs {
-                    for (j, r) in cfg.reachable_from(succ).iter().enumerate() {
-                        marked[j] |= r;
+                // The op ident sits at depth 0 of the root chain;
+                // getter-call acquisitions likewise.
+                let start = after_eq(toks, &stmt.tokens).unwrap_or(stmt.tokens.start);
+                let root = root_positions(toks, start, stmt.tokens.end);
+                let Some(acq) = all_acqs.iter().find(|a| root.contains(&a.tok)) else { continue };
+                for live in live_stmts(&cfg, toks, bi, si, &guard, f.span.body.end) {
+                    for a in all_acqs.iter().filter(|a| live.tokens.contains(&a.tok)) {
+                        self.relate(fi, &acq.ident, &a.ident, a.line, "on a live-guard path");
                     }
-                }
-                for (j, b) in cfg.blocks.iter().enumerate() {
-                    if marked[j] && j != bi {
-                        for s in &b.stmts {
-                            live.push((s.line, s.tokens.clone()));
-                        }
+                    for call in f.calls.iter().filter(|c| live.tokens.contains(&c.tok)) {
+                        self.relate_call(fi, &acq.ident, call, acquired, getter_ident);
                     }
-                }
-                for (line, range) in live {
-                    if range.start <= stmt.tokens.start {
-                        continue; // loop back-edges into earlier statements
-                    }
-                    if drop_pos.is_some_and(|d| range.start >= d) {
-                        continue;
-                    }
-                    for a in &all_acqs {
-                        if range.contains(&a.tok) {
-                            let (o, l) = (a.ident.clone(), a.line);
-                            self.relate(f, &held, &o, l, fi, "on a live-guard path");
-                        }
-                    }
-                    for call in &f.calls {
-                        if !range.contains(&call.tok) {
-                            continue;
-                        }
-                        if call.targets.iter().any(|&j| getter_ident[j].is_some()) {
-                            continue;
-                        }
-                        let others: Vec<String> = call
-                            .targets
-                            .iter()
-                            .flat_map(|&j| acquired[j].iter().cloned())
-                            .collect();
-                        let (name, cline) = (call.name.clone(), call.line);
-                        for o in others {
-                            self.relate(f, &held, &o, cline, fi, &format!("via call to `{name}`"));
-                        }
-                    }
-                    let _ = line;
                 }
             }
         }
@@ -659,26 +565,18 @@ impl LockCx<'_> {
     /// `guard-escapes-hot-path`: a hot-path fn whose tail expression or
     /// `return` statement is a lock chain / bound guard, or that assigns
     /// a lock chain into a pre-existing place.
-    fn guard_escape(&mut self, f: &FnInfo, toks: &[Token], cfg: &crate::cfg::Cfg, acqs: &[Acq]) {
+    fn guard_escape(&mut self, f: &FnInfo, toks: &[Token], cfg: &Cfg, acqs: &[Acq]) {
         if !f.hot_path {
             return;
         }
-        let mut guards: BTreeSet<String> = BTreeSet::new();
-        let mut stmts: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        for block in &cfg.blocks {
-            for stmt in &block.stmts {
-                stmts.push((stmt.line, stmt.tokens.clone()));
-                if binding_name(toks, &stmt.tokens).is_some()
-                    && lock_chain_at_root(toks, &stmt.tokens)
-                {
-                    if let Some(name) = binding_name(toks, &stmt.tokens) {
-                        guards.insert(name);
-                    }
-                }
-            }
-        }
-        let last_end = stmts.iter().map(|(_, r)| r.end).max().unwrap_or(0);
-        for (line, range) in &stmts {
+        let stmts: Vec<&Stmt> = cfg.blocks.iter().flat_map(|b| &b.stmts).collect();
+        let guards: BTreeSet<String> = stmts
+            .iter()
+            .filter(|s| lock_chain_at_root(toks, &s.tokens))
+            .filter_map(|s| binding_name(toks, &s.tokens))
+            .collect();
+        let last_end = stmts.iter().map(|s| s.tokens.end).max().unwrap_or(0);
+        for Stmt { tokens: range, line } in stmts {
             let is_return = toks[range.start].is_ident("return");
             let is_tail = range.end >= last_end
                 && range.end >= f.span.body.end.saturating_sub(1)
@@ -689,35 +587,33 @@ impl LockCx<'_> {
             let escapes_chain = !is_let
                 && (is_return || is_tail || after_eq(toks, range).is_some())
                 && lock_chain_at_root(toks, range);
-            let escapes_guard = (is_return || is_tail)
-                && !is_let
-                && root_positions(toks, range.start, range.end)
-                    .iter()
-                    .any(|&i| guards.contains(&toks[i].text));
-            if !escapes_chain && !escapes_guard {
-                continue;
-            }
+            let escaped_guard = (is_return || is_tail) && !is_let;
+            let escaped_guard = escaped_guard
+                .then(|| {
+                    root_positions(toks, range.start, range.end)
+                        .into_iter()
+                        .find(|&i| guards.contains(&toks[i].text))
+                })
+                .flatten();
             let source = if escapes_chain {
                 acqs.iter()
                     .find(|a| range.contains(&a.tok))
                     .map_or_else(|| "return".to_string(), |a| a.ident.clone())
+            } else if let Some(i) = escaped_guard {
+                toks[i].text.clone()
             } else {
-                root_positions(toks, range.start, range.end)
-                    .iter()
-                    .find(|&&i| guards.contains(&toks[i].text))
-                    .map_or_else(|| "return".to_string(), |&i| toks[i].text.clone())
+                continue;
             };
-            if !self.require("guard-escapes-hot-path", f, &source) {
-                self.diag(
-                    "guard-escapes-hot-path",
-                    f,
-                    *line,
-                    format!(
-                        "`{}` is an audit:hot-path fn but lets a lock guard escape (`{source}`)",
-                        f.qualified()
-                    ),
-                );
-            }
+            self.ledger.check(
+                "guard-escapes-hot-path",
+                f,
+                &source,
+                *line,
+                format!(
+                    "`{}` is an audit:hot-path fn but lets a lock guard escape (`{source}`)",
+                    f.qualified()
+                ),
+            );
         }
     }
 
@@ -728,46 +624,20 @@ impl LockCx<'_> {
         for (a, b) in self.edges.keys() {
             adj.entry(a).or_default().insert(b);
         }
-        let cyclic: Vec<(String, String, usize, usize)> = self
-            .edges
-            .iter()
-            .filter(|((a, b), _)| reaches(&adj, b, a))
-            .map(|((a, b), &(fi, line))| (a.clone(), b.clone(), fi, line))
-            .collect();
-        for (a, b, fi, line) in cyclic {
-            let f = self.model.fns[fi].clone();
-            let source = format!("{a}->{b}");
-            if !self.require("lock-order-cycle", &f, &source) {
-                self.diag(
-                    "lock-order-cycle",
-                    &f,
-                    line,
-                    format!(
-                        "acquisition order `{a}` then `{b}` completes a cycle — another call path takes them in the opposite order (potential deadlock)"
-                    ),
-                );
+        for ((a, b), &(fi, line)) in &self.edges {
+            if !reaches(&adj, b, a) {
+                continue;
             }
-        }
-    }
-
-    /// Ledger entries for lock lints that no finding required are stale.
-    fn stale_entries(&mut self) {
-        for (i, e) in self.just.entries.iter().enumerate() {
-            if !LOCK_LINTS.iter().any(|(l, _)| *l == e.lint) {
-                continue; // other family (atomics) — not ours to judge
-            }
-            if !self.used.contains(&i) {
-                self.diags.push(Diagnostic {
-                    file: CONCURRENCY_LEDGER.to_string(),
-                    line: 0,
-                    lint: "double-lock",
-                    message: format!(
-                        "stale ledger entry `{}` — no current finding requires it",
-                        e.render()
-                    ),
-                    severity: Severity::Error,
-                });
-            }
+            let f = &self.model.fns[fi];
+            self.ledger.check(
+                "lock-order-cycle",
+                f,
+                &format!("{a}->{b}"),
+                line,
+                format!(
+                    "acquisition order `{a}` then `{b}` completes a cycle — another call path takes them in the opposite order (potential deadlock)"
+                ),
+            );
         }
     }
 }
@@ -788,4 +658,47 @@ fn reaches(adj: &BTreeMap<&String, BTreeSet<&String>>, from: &String, to: &Strin
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::scan;
+    use crate::symbols::tokenize;
+
+    /// Tokens and CFG of the first function in `src`.
+    fn body(src: &str) -> (Vec<Token>, Cfg, usize) {
+        let toks = tokenize(&scan(src).blanked);
+        let span = crate::cfg::fn_spans(&toks).remove(0);
+        let cfg = build_cfg(&toks, span.body.clone());
+        (toks, cfg, span.body.end)
+    }
+
+    #[test]
+    fn uppercase_patterns_bind_no_guard() {
+        let (toks, cfg, _) = body(
+            "fn f(m: &M, slot: &S) {\n\
+             \x20   let mut g = m.lock().unwrap();\n\
+             \x20   let Some(t0) = *slot.lock().unwrap() else { return };\n\
+             }\n",
+        );
+        let names: Vec<Option<String>> =
+            cfg.blocks[cfg.entry].stmts.iter().map(|s| binding_name(&toks, &s.tokens)).collect();
+        assert_eq!(names, [Some("g".to_string()), None]);
+    }
+
+    #[test]
+    fn guard_is_live_until_its_drop() {
+        let (toks, cfg, end) = body(
+            "fn f(m: &M) {\n\
+             \x20   let g = m.lock().unwrap();\n\
+             \x20   use_it(&g);\n\
+             \x20   drop(g);\n\
+             \x20   after();\n\
+             }\n",
+        );
+        let lines: Vec<usize> =
+            live_stmts(&cfg, &toks, cfg.entry, 0, "g", end).iter().map(|s| s.line).collect();
+        assert_eq!(lines, [3], "live across `use_it` only; `drop(g)` ends it");
+    }
 }

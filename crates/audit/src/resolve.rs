@@ -35,11 +35,11 @@ pub struct FileModel {
     pub raw: String,
     /// Path classification.
     pub class: FileClass,
-    /// Lexer output (blanked text, suppressions, test region).
+    /// Lexer output (blanked text, annotations, test regions).
     pub scanned: ScannedFile,
     /// Token stream of the blanked text.
     pub tokens: Vec<Token>,
-    /// Symbols and cfg regions.
+    /// Declared symbols.
     pub symbols: FileSymbols,
     /// Compilation unit (see [`unit_of`]).
     pub unit: String,
@@ -171,7 +171,7 @@ impl Workspace {
             let class = classify(&rel);
             let scanned = scan(&source);
             let tokens = tokenize(&scanned.blanked);
-            let symbols = scan_symbols(&rel, &source, &scanned);
+            let symbols = scan_symbols(&rel, &tokens);
             index.add_file(&class.crate_name, &symbols);
             let unit = unit_of(&class);
             let file_id = files.len();

@@ -151,10 +151,6 @@ pub fn lint(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         if !seen_fields.insert((parent.clone(), sym.name.clone())) {
             continue;
         }
-        let Some(file_idx) = super::file_index(ws, &sym.file) else { continue };
-        if super::suppressed(ws, LINT, file_idx, sym.line) {
-            continue;
-        }
         let flow = classify_flow(ws, &sym.name);
         let written = flow.increments + flow.assigns + flow.inits;
         if flow.increments > 0 || flow.assigns > 0 {
@@ -204,10 +200,6 @@ pub fn lint(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             continue;
         }
         if !COUNTER_CRATES.contains(&ws.index.crates[id].as_str()) {
-            continue;
-        }
-        let Some(file_idx) = super::file_index(ws, &sym.file) else { continue };
-        if super::suppressed(ws, LINT, file_idx, sym.line) {
             continue;
         }
         if !has_reset_path(ws, sym) {

@@ -29,14 +29,19 @@
 //! ```
 //!
 //! keyed on stable identity, not line numbers, so entries survive
-//! unrelated edits. `--update-baseline` rewrites the file from the
-//! current findings.
+//! unrelated edits. The baseline follows the ledger's rule: an entry
+//! that no longer matches a dead pub item is stale, and is itself a
+//! finding that names the line to delete. A new finding names the entry
+//! to add.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::resolve::Workspace;
 use crate::symbols::{SymbolKind, Visibility};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+
+/// Workspace-relative path of the baseline.
+pub const BASELINE_REL: &str = "crates/audit/pub_baseline.txt";
 
 const LINT: &str = "dead-cross-crate-pub";
 
@@ -46,8 +51,9 @@ const EXEMPT_CRATES: &[&str] = &["nucache-audit"];
 /// The checked-in set of accepted dead-pub entries.
 #[derive(Debug, Default)]
 pub struct Baseline {
-    /// `"<crate> <kind> <qualified>"` entry strings.
-    pub entries: BTreeSet<String>,
+    /// `"<crate> <kind> <qualified>"` entry strings, with the 1-indexed
+    /// line each sits on.
+    pub entries: BTreeMap<String, usize>,
 }
 
 impl Baseline {
@@ -56,15 +62,16 @@ impl Baseline {
     pub fn parse(text: &str) -> Baseline {
         let entries = text
             .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            .map(str::to_string)
+            .enumerate()
+            .map(|(i, l)| (l.trim(), i + 1))
+            .filter(|(l, _)| !l.is_empty() && !l.starts_with('#'))
+            .map(|(l, line)| (l.to_string(), line))
             .collect();
         Baseline { entries }
     }
 
     /// Loads the baseline from `path`; a missing file is an empty
-    /// baseline (first run / fixture workspaces).
+    /// baseline (fixture workspaces).
     ///
     /// # Errors
     ///
@@ -76,22 +83,6 @@ impl Baseline {
             Err(e) => Err(e),
         }
     }
-
-    /// Renders entry strings as a fresh baseline file body.
-    pub fn render(entries: &BTreeSet<String>) -> String {
-        let mut out = String::from(
-            "# nucache-audit dead-cross-crate-pub baseline.\n\
-             # Each line accepts one pub item with no external reference yet:\n\
-             #   <crate> <kind> <Qualified::name>\n\
-             # Regenerate with `nucache-audit lint --update-baseline`, then\n\
-             # re-add the justifying comments for anything that stays.\n",
-        );
-        for e in entries {
-            out.push_str(e);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// The stable baseline key of one symbol.
@@ -99,9 +90,8 @@ fn entry_key(krate: &str, kind_label: &str, qualified: &str) -> String {
     format!("{krate} {kind_label} {qualified}")
 }
 
-/// Computes the current dead-pub entry set (used by both the lint and
-/// `--update-baseline`).
-pub fn current_entries(ws: &Workspace) -> BTreeSet<(String, String, usize)> {
+/// Computes the current dead-pub entry set as `(entry-key, file, line)`.
+fn current_entries(ws: &Workspace) -> BTreeSet<(String, String, usize)> {
     // (entry-key, file, line)
     let mut out = BTreeSet::new();
     for (id, sym) in ws.index.symbols.iter().enumerate() {
@@ -113,9 +103,6 @@ pub fn current_entries(ws: &Workspace) -> BTreeSet<(String, String, usize)> {
             || sym.kind == SymbolKind::Field
             || sym.kind == SymbolKind::Reexport
         {
-            continue;
-        }
-        if sym.gates.iter().any(|g| g == "test") {
             continue;
         }
         let Some(file_idx) = super::file_index(ws, &sym.file) else { continue };
@@ -131,9 +118,6 @@ pub fn current_entries(ws: &Workspace) -> BTreeSet<(String, String, usize)> {
         if externally_referenced {
             continue;
         }
-        if super::suppressed(ws, LINT, file_idx, sym.line) {
-            continue;
-        }
         out.insert((
             entry_key(krate, sym.kind.label(), &sym.qualified()),
             sym.file.clone(),
@@ -143,23 +127,39 @@ pub fn current_entries(ws: &Workspace) -> BTreeSet<(String, String, usize)> {
     out
 }
 
-/// Runs the lint, appending findings (entries not in `baseline`) to
-/// `out`.
+/// Runs the lint, appending findings (dead items not in `baseline`,
+/// and baseline entries no dead item matches) to `out`.
 pub fn lint(ws: &Workspace, baseline: &Baseline, out: &mut Vec<Diagnostic>) {
-    for (key, file, line) in current_entries(ws) {
-        if baseline.entries.contains(&key) {
+    let current = current_entries(ws);
+    for (key, file, line) in &current {
+        if baseline.entries.contains_key(key) {
             continue;
         }
         out.push(Diagnostic {
-            file,
-            line,
+            file: file.clone(),
+            line: *line,
             lint: LINT,
             message: format!(
                 "pub item with no reference outside its crate: {key} — remove the pub, \
-                 reference it, or add it to crates/audit/pub_baseline.txt with a comment"
+                 reference it, or add it to {BASELINE_REL} with a comment"
             ),
             severity: Severity::Error,
         });
+    }
+    let current: BTreeSet<&String> = current.iter().map(|(key, _, _)| key).collect();
+    for (key, &line) in &baseline.entries {
+        if !current.contains(key) {
+            out.push(Diagnostic {
+                file: BASELINE_REL.to_string(),
+                line,
+                lint: LINT,
+                message: format!(
+                    "stale baseline entry `{key}` — no unreferenced pub item matches it; \
+                     delete line {line}"
+                ),
+                severity: Severity::Error,
+            });
+        }
     }
 }
 
@@ -168,15 +168,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn baseline_roundtrip() {
+    fn baseline_parse_keeps_lines() {
         let text =
             "# header\n\nnucache-core fn NuCache::epoch_len\n  nucache-sim struct SimConfig  \n";
         let b = Baseline::parse(text);
         assert_eq!(b.entries.len(), 2);
-        assert!(b.entries.contains("nucache-core fn NuCache::epoch_len"));
-        let rendered = Baseline::render(&b.entries);
-        let reparsed = Baseline::parse(&rendered);
-        assert_eq!(b.entries, reparsed.entries);
+        assert_eq!(b.entries.get("nucache-core fn NuCache::epoch_len"), Some(&3));
+        assert_eq!(b.entries.get("nucache-sim struct SimConfig"), Some(&4));
     }
 
     #[test]

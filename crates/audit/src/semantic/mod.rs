@@ -7,10 +7,7 @@
 //! | lint | rule |
 //! |------|------|
 //! | `counter-dataflow` | every stats/telemetry counter field must be both written (incremented/assigned) and read outside tests, and its struct must have a reset/re-initialization path |
-//! | `dead-cross-crate-pub` | `pub` items never referenced outside their defining crate must be in the checked-in baseline (`crates/audit/pub_baseline.txt`) |
-//!
-//! A `// nucache-audit: allow(<lint>) -- reason` comment on or above
-//! the declaration line suppresses a finding.
+//! | `dead-cross-crate-pub` | `pub` items never referenced outside their defining crate must be in the checked-in baseline (`crates/audit/pub_baseline.txt`), and every baseline entry must still match such an item |
 
 pub mod counter_flow;
 pub mod dead_pub;
@@ -19,31 +16,12 @@ use crate::diag::Diagnostic;
 use crate::resolve::Workspace;
 use dead_pub::Baseline;
 
-/// Names and one-line rules of the semantic lints, in run order.
-pub const SEMANTIC_LINTS: &[(&str, &str)] = &[
-    (
-        "counter-dataflow",
-        "counter fields must be incremented AND read outside tests, with a reset path",
-    ),
-    ("dead-cross-crate-pub", "pub items never referenced outside their crate must be baselined"),
-];
-
-/// Runs both semantic lints. Findings are sorted by
-/// (file, line, lint, message) — deterministic for CI diffing.
-pub fn run_semantic_lints(ws: &Workspace, baseline: &Baseline) -> Vec<Diagnostic> {
+/// Runs both semantic lints.
+pub(crate) fn run_semantic_lints(ws: &Workspace, baseline: &Baseline) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     counter_flow::lint(ws, &mut out);
     dead_pub::lint(ws, baseline, &mut out);
-    out.sort_by(|a, b| {
-        (&a.file, a.line, a.lint, &a.message).cmp(&(&b.file, b.line, b.lint, &b.message))
-    });
     out
-}
-
-/// Whether a finding anchored at `(file_idx, line)` is suppressed by a
-/// site comment.
-pub(crate) fn suppressed(ws: &Workspace, lint: &str, file_idx: usize, line: usize) -> bool {
-    ws.files[file_idx].scanned.is_suppressed(lint, line)
 }
 
 /// Index of `rel` in `ws.files`, when present.

@@ -1,20 +1,16 @@
-//! Workspace symbol index: tokens, items, fields and `#[cfg]` gate
-//! regions.
+//! Workspace symbol index: tokens, items and fields.
 //!
 //! Built on top of [`crate::lexer`]: the blanked source (comments and
 //! literals spaced out, char-for-char aligned with the original) is
 //! tokenized, then a single forward pass extracts item declarations with
-//! their visibility, enclosing module/impl, attached attributes and
-//! `#[cfg]` gates. Because blanking preserves char offsets exactly, the
-//! scanner can reach back into the *raw* source wherever literal text
-//! matters (`feature = "…"` inside a cfg attribute).
+//! their visibility, enclosing module/impl and declared types, plus the
+//! structs that derive `Default`.
 //!
 //! The index is deliberately lexical — no type checking, no macro
 //! expansion. It is precise enough for the workspace's curated style
 //! (items at module scope, test modules trailing) and the semantic lints
 //! treat name collisions conservatively.
 
-use crate::lexer::ScannedFile;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -217,10 +213,6 @@ pub struct Symbol {
     /// Enclosing type (for methods, associated consts and fields) or
     /// module name.
     pub parent: Option<String>,
-    /// Normalized cfg gates in effect at the declaration (sorted):
-    /// `feature:name`, `test`, `debug_assertions`, or `opaque:<text>` for
-    /// shapes the scanner does not model (`any(…)`, `not(…)`, …).
-    pub gates: Vec<String>,
     /// For `Field`: the declared type text, whitespace-squashed.
     pub field_type: Option<String>,
 }
@@ -242,56 +234,13 @@ impl fmt::Display for Symbol {
     }
 }
 
-/// A contiguous char range governed by a `#[cfg(...)]` attribute.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CfgRegion {
-    /// Char offset of the `#` of the attribute.
-    pub start: usize,
-    /// Char offset one past the governed item/statement.
-    pub end: usize,
-    /// Normalized gates (see [`Symbol::gates`]).
-    pub gates: Vec<String>,
-}
-
 /// Everything the symbol scanner extracts from one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileSymbols {
     /// Declared symbols in declaration order.
     pub symbols: Vec<Symbol>,
-    /// Cfg-gated regions (item- and statement-level).
-    pub cfg_regions: Vec<CfgRegion>,
     /// Struct names carrying `#[derive(..)]` with `Default`.
     pub derives_default: Vec<String>,
-}
-
-impl FileSymbols {
-    /// Normalized gates in effect at char offset `pos` (sorted, deduped):
-    /// the union of every covering cfg region.
-    pub fn gates_at(&self, pos: usize) -> Vec<String> {
-        let mut gates: Vec<String> = self
-            .cfg_regions
-            .iter()
-            .filter(|r| r.start <= pos && pos < r.end)
-            .flat_map(|r| r.gates.iter().cloned())
-            .collect();
-        gates.sort();
-        gates.dedup();
-        gates
-    }
-}
-
-/// Parses the interior of `cfg(...)` (raw source text, literals intact)
-/// into normalized gates.
-fn parse_cfg_gates(inner: &str) -> Vec<String> {
-    let squashed: String = inner.chars().filter(|c| !c.is_whitespace()).collect();
-    if let Some(feat) = squashed.strip_prefix("feature=\"").and_then(|r| r.strip_suffix('"')) {
-        return vec![format!("feature:{feat}")];
-    }
-    match squashed.as_str() {
-        "test" => vec!["test".to_string()],
-        "debug_assertions" => vec!["debug_assertions".to_string()],
-        _ => vec![format!("opaque:{squashed}")],
-    }
 }
 
 /// What the scanner is currently inside of.
@@ -314,43 +263,31 @@ struct Scope {
     kind: ScopeKind,
 }
 
-/// Attributes accumulated in front of the next item.
-#[derive(Debug, Default, Clone)]
-struct Pending {
-    gates: Vec<String>,
-    derive_default: bool,
-}
-
 /// Scans one file into its symbol set.
 ///
-/// `rel` is the workspace-relative path; `source` the raw text; `scanned`
-/// the lexer output for the same text.
-pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbols {
-    let raw: Vec<char> = source.chars().collect();
-    let tokens = tokenize(&scanned.blanked);
+/// `rel` is the workspace-relative path; `tokens` the token stream of
+/// the file's blanked source.
+pub fn scan_symbols(rel: &str, tokens: &[Token]) -> FileSymbols {
     let mut out = FileSymbols::default();
     let mut scopes: Vec<Scope> = vec![Scope { kind: ScopeKind::Module }];
     // Scopes opened per brace, aligned with `{`/`}` nesting. Each `{`
     // pushes exactly one scope; each `}` pops one.
-    let mut pending = Pending::default();
+    // Whether a `#[derive(.., Default, ..)]` precedes the next item.
+    let mut derive_default = false;
     let mut i = 0usize;
 
     while i < tokens.len() {
         let t = &tokens[i];
         match (&t.kind, t.text.as_str()) {
             (TokKind::Punct, "#") => {
-                let (next_i, region, derive_default) = parse_attribute(&tokens, i, &raw);
-                if let Some(r) = region {
-                    pending.gates.extend(r.gates.iter().cloned());
-                    out.cfg_regions.push(r);
-                }
-                pending.derive_default |= derive_default;
+                let (next_i, derives) = parse_attribute(tokens, i);
+                derive_default |= derives;
                 i = next_i;
                 continue;
             }
             (TokKind::Punct, "{") => {
                 scopes.push(Scope { kind: ScopeKind::Opaque });
-                pending = Pending::default();
+                derive_default = false;
                 i += 1;
                 continue;
             }
@@ -358,7 +295,7 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                 if scopes.len() > 1 {
                     scopes.pop();
                 }
-                pending = Pending::default();
+                derive_default = false;
                 i += 1;
                 continue;
             }
@@ -373,12 +310,12 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
             matches!(scopes.last().map(|s| &s.kind), Some(ScopeKind::StructBody(_)));
 
         if in_struct_body {
-            i = parse_field(&tokens, i, rel, &mut out, &scopes, &pending);
-            pending = Pending::default();
+            i = parse_field(tokens, i, rel, &mut out, &scopes);
+            derive_default = false;
             continue;
         }
         if !item_scope || t.kind != TokKind::Ident {
-            pending = Pending::default();
+            derive_default = false;
             i += 1;
             continue;
         }
@@ -391,7 +328,7 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
             j += 1;
             if j < tokens.len() && tokens[j].is_punct("(") {
                 vis = Visibility::PubCrate;
-                j = skip_balanced(&tokens, j);
+                j = skip_balanced(tokens, j);
             }
         }
         // Leading qualifiers that don't change the item kind.
@@ -404,7 +341,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
             j += 1;
         }
         let Some(kw) = tokens.get(j) else { break };
-        let gates = effective_gates(&out, kw.pos);
         let parent = scopes.iter().rev().find_map(|s| match &s.kind {
             ScopeKind::Impl(n) | ScopeKind::Trait(n) => Some(n.clone()),
             _ => None,
@@ -420,7 +356,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         pos: name.pos,
                         vis,
                         parent,
-                        gates,
                         field_type: None,
                     });
                 }
@@ -436,10 +371,9 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         pos: name.pos,
                         vis,
                         parent: None,
-                        gates,
                         field_type: None,
                     });
-                    if pending.derive_default {
+                    if derive_default {
                         out.derives_default.push(name.text.clone());
                     }
                     // If a named body follows ( `{` before `;`/`(` ), parse
@@ -454,7 +388,7 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                     }
                     if k < tokens.len() && tokens[k].is_punct("{") {
                         scopes.push(Scope { kind: ScopeKind::StructBody(name.text.clone()) });
-                        pending = Pending::default();
+                        derive_default = false;
                         i = k + 1;
                         continue;
                     }
@@ -473,7 +407,7 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                     // `static NAME: Ty = …;` — record the declared type so
                     // the concurrency lints can recognize lock statics.
                     let field_type = (kind == SymbolKind::Static)
-                        .then(|| static_type_text(&tokens, j + 2))
+                        .then(|| static_type_text(tokens, j + 2))
                         .flatten();
                     out.symbols.push(Symbol {
                         name: name.text.clone(),
@@ -483,7 +417,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         pos: name.pos,
                         vis,
                         parent: parent.clone(),
-                        gates,
                         field_type,
                     });
                     if kind == SymbolKind::Mod {
@@ -491,7 +424,7 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         // just a declaration.
                         if tokens.get(j + 2).is_some_and(|t| t.is_punct("{")) {
                             scopes.push(Scope { kind: ScopeKind::Module });
-                            pending = Pending::default();
+                            derive_default = false;
                             i = j + 3;
                             continue;
                         }
@@ -507,7 +440,7 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         }
                         if k < tokens.len() && tokens[k].is_punct("{") {
                             scopes.push(Scope { kind: ScopeKind::Trait(name.text.clone()) });
-                            pending = Pending::default();
+                            derive_default = false;
                             i = k + 1;
                             continue;
                         }
@@ -528,7 +461,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                             pos: name.pos,
                             vis,
                             parent,
-                            gates,
                             field_type: None,
                         });
                     }
@@ -542,7 +474,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                         pos: name.pos,
                         vis,
                         parent,
-                        gates,
                         field_type: None,
                     });
                     i = j + 1;
@@ -556,7 +487,7 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                 // (after `for` when present).
                 let mut k = j + 1;
                 if k < tokens.len() && tokens[k].is_punct("<") {
-                    k = skip_generics(&tokens, k);
+                    k = skip_generics(tokens, k);
                 }
                 let mut self_ty = String::new();
                 let mut depth = 0i32;
@@ -581,14 +512,14 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                 }
                 if k < tokens.len() && tokens[k].is_punct("{") {
                     scopes.push(Scope { kind: ScopeKind::Impl(self_ty) });
-                    pending = Pending::default();
+                    derive_default = false;
                     i = k + 1;
                     continue;
                 }
                 i = k;
             }
             "use" => {
-                let (next_i, names) = use_leaves(&tokens, j + 1);
+                let (next_i, names) = use_leaves(tokens, j + 1);
                 if vis == Visibility::Pub {
                     for name in names {
                         out.symbols.push(Symbol {
@@ -599,7 +530,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                             pos: kw.pos,
                             vis,
                             parent: None,
-                            gates: gates.clone(),
                             field_type: None,
                         });
                     }
@@ -617,7 +547,6 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                             pos: name.pos,
                             vis,
                             parent: None,
-                            gates,
                             field_type: None,
                         });
                     }
@@ -628,95 +557,27 @@ pub fn scan_symbols(rel: &str, source: &str, scanned: &ScannedFile) -> FileSymbo
                 i = j + 1;
             }
         }
-        pending = Pending::default();
+        derive_default = false;
     }
     out
 }
 
-/// Gates in effect at `pos` per the regions recorded so far.
-fn effective_gates(out: &FileSymbols, pos: usize) -> Vec<String> {
-    out.gates_at(pos)
-}
-
 /// Parses one `#[…]` attribute starting at token `i` (the `#`). Returns
-/// the index after the attribute, a cfg region when the attribute is a
-/// `cfg(...)`, and whether it is a `derive(...)` containing `Default`.
-fn parse_attribute(tokens: &[Token], i: usize, raw: &[char]) -> (usize, Option<CfgRegion>, bool) {
-    let start_pos = tokens[i].pos;
+/// the index after the attribute and whether it is a `derive(...)`
+/// containing `Default`.
+fn parse_attribute(tokens: &[Token], i: usize) -> (usize, bool) {
     let mut j = i + 1;
     // Inner attribute `#![…]`.
     if j < tokens.len() && tokens[j].is_punct("!") {
         j += 1;
     }
     if j >= tokens.len() || !tokens[j].is_punct("[") {
-        return (i + 1, None, false);
+        return (i + 1, false);
     }
     let close = skip_balanced(tokens, j);
-    let name = tokens.get(j + 1).map(|t| t.text.clone()).unwrap_or_default();
-    let mut region = None;
-    let mut derive_default = false;
-    if name == "cfg" && tokens.get(j + 2).is_some_and(|t| t.is_punct("(")) {
-        // Gate text comes from the RAW source: the blanked copy has the
-        // feature-name string spaced out.
-        let open = tokens[j + 2].pos;
-        let close_paren =
-            tokens[close - 2..close].iter().rev().find(|t| t.is_punct(")")).map_or(open, |t| t.pos);
-        let inner: String = raw[open + 1..close_paren.max(open + 1)].iter().collect();
-        let gates = parse_cfg_gates(&inner);
-        let end = governed_extent(tokens, close, raw.len());
-        region = Some(CfgRegion { start: start_pos, end, gates });
-    }
-    if name == "derive" {
-        derive_default =
-            tokens[j..close].iter().any(|t| t.kind == TokKind::Ident && t.text == "Default");
-    }
-    (close, region, derive_default)
-}
-
-/// Extent of the item/statement governed by an attribute ending at token
-/// index `after` (one past the `]`): through the matching `}` when a
-/// brace opens first, else through the terminating `;` or `,`.
-fn governed_extent(tokens: &[Token], after: usize, raw_len: usize) -> usize {
-    let mut k = after;
-    // Skip stacked attributes.
-    while k < tokens.len() && tokens[k].is_punct("#") {
-        let mut j = k + 1;
-        if j < tokens.len() && tokens[j].is_punct("!") {
-            j += 1;
-        }
-        if j < tokens.len() && tokens[j].is_punct("[") {
-            k = skip_balanced(tokens, j);
-        } else {
-            break;
-        }
-    }
-    let mut depth = 0i32;
-    while k < tokens.len() {
-        let t = &tokens[k];
-        match t.text.as_str() {
-            "{" | "(" | "[" => {
-                if t.is_punct("{") && depth == 0 {
-                    // Governed block: through its matching close.
-                    let end = skip_balanced(tokens, k);
-                    return tokens.get(end - 1).map_or(raw_len, |t| t.pos + t.text.chars().count());
-                }
-                depth += 1;
-            }
-            "}" | ")" | "]" => {
-                if depth == 0 {
-                    // Field at end of struct body without trailing comma.
-                    return t.pos;
-                }
-                depth -= 1;
-            }
-            ";" | "," if depth == 0 => {
-                return t.pos + 1;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    raw_len
+    let derive_default = tokens.get(j + 1).is_some_and(|t| t.is_ident("derive"))
+        && tokens[j..close].iter().any(|t| t.is_ident("Default"));
+    (close, derive_default)
 }
 
 /// Given token index `i` at an opening bracket (`(`/`[`/`{`), returns the
@@ -775,7 +636,6 @@ fn parse_field(
     rel: &str,
     out: &mut FileSymbols,
     scopes: &[Scope],
-    pending: &Pending,
 ) -> usize {
     let parent = scopes.iter().rev().find_map(|s| match &s.kind {
         ScopeKind::StructBody(n) => Some(n.clone()),
@@ -820,13 +680,6 @@ fn parse_field(
         ty.push_str(&t.text);
         k += 1;
     }
-    let gates = {
-        let mut g = out.gates_at(name.pos);
-        g.extend(pending.gates.iter().cloned());
-        g.sort();
-        g.dedup();
-        g
-    };
     out.symbols.push(Symbol {
         name: name.text.clone(),
         kind: SymbolKind::Field,
@@ -835,7 +688,6 @@ fn parse_field(
         pos: name.pos,
         vis,
         parent,
-        gates,
         field_type: Some(ty),
     });
     // Land on the comma's successor; a `}` is left for the main loop.
@@ -942,7 +794,7 @@ mod tests {
     use crate::lexer::scan;
 
     fn syms(src: &str) -> FileSymbols {
-        scan_symbols("crates/x/src/lib.rs", src, &scan(src))
+        scan_symbols("crates/x/src/lib.rs", &tokenize(&scan(src).blanked))
     }
 
     #[test]
@@ -978,28 +830,6 @@ mod tests {
         assert_eq!(get.qualified(), "C::get");
         let fmt = s.symbols.iter().find(|s| s.name == "fmt").expect("fmt");
         assert_eq!(fmt.parent.as_deref(), Some("C"), "impl Trait for C: parent is C");
-    }
-
-    #[test]
-    fn cfg_gates_cover_items_and_statements() {
-        let src = "\
-#[cfg(feature = \"debug_invariants\")]\npub fn gated() {}\n\
-pub fn open() {}\n\
-fn body() {\n    #[cfg(feature = \"debug_invariants\")]\n    audit.enable();\n    run();\n}\n\
-#[cfg(test)]\nmod tests { fn t() {} }\n";
-        let s = syms(src);
-        let gated = s.symbols.iter().find(|s| s.name == "gated").expect("gated");
-        assert_eq!(gated.gates, vec!["feature:debug_invariants".to_string()]);
-        let open = s.symbols.iter().find(|s| s.name == "open").expect("open");
-        assert!(open.gates.is_empty());
-        // Statement-level gate: the `audit.enable()` call is covered, the
-        // following `run()` is not.
-        let enable_pos = src.find("audit.enable").expect("site");
-        assert_eq!(s.gates_at(enable_pos), vec!["feature:debug_invariants".to_string()]);
-        let run_pos = src.find("run()").expect("site");
-        assert!(s.gates_at(run_pos).is_empty());
-        let t = s.symbols.iter().find(|s| s.name == "t").expect("t");
-        assert_eq!(t.gates, vec!["test".to_string()]);
     }
 
     #[test]

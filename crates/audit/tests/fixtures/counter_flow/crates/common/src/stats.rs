@@ -9,9 +9,6 @@ pub struct EpochStats {
     pub misses: u64,
     /// Bad: read in `report` but never written.
     pub stalls: u64,
-    /// Write-only like `misses`, but suppressed at the site.
-    // nucache-audit: allow(counter-dataflow) -- exported via debugger only
-    pub probes: u64,
 }
 
 impl EpochStats {
@@ -19,7 +16,6 @@ impl EpochStats {
     pub fn tick(&mut self) {
         self.hits += 1;
         self.misses += 1;
-        self.probes += 1;
     }
 
     /// Reads some counters back.

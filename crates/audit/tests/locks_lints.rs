@@ -6,27 +6,30 @@
 
 #![expect(clippy::expect_used, reason = "fixture loading fails only on a broken checkout")]
 
-use nucache_audit::{
-    run_atomic_lints, run_lock_lints, Diagnostic, EffectModel, Justifications, Workspace,
-};
+use nucache_audit::{Baseline, Diagnostic, EffectModel, Justifications, Workspace};
 use std::path::PathBuf;
 
-fn fixture_ws() -> Workspace {
+/// The lock-discipline lints.
+const LOCK_LINTS: &[&str] = &["lock-order-cycle", "double-lock", "guard-escapes-hot-path"];
+
+/// The full audit run against `just`, keeping the findings of `lints`
+/// plus the ledger's own `stub-justification`.
+fn run(just: &Justifications, lints: &[&str]) -> Vec<Diagnostic> {
     let root =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("fixtures").join("locks");
-    Workspace::load(&root).expect("load locks fixture")
+    let ws = Workspace::load(&root).expect("load locks fixture");
+    let model = EffectModel::build(&ws);
+    let (mut diags, _) = nucache_audit::run(&ws, &model, just, &Baseline::default());
+    diags.retain(|d| d.lint == "stub-justification" || lints.contains(&d.lint));
+    diags
 }
 
 fn run_locks(just: &Justifications) -> Vec<Diagnostic> {
-    let ws = fixture_ws();
-    let model = EffectModel::build(&ws);
-    run_lock_lints(&ws, &model, just).0
+    run(just, LOCK_LINTS)
 }
 
 fn run_atomics(just: &Justifications) -> Vec<Diagnostic> {
-    let ws = fixture_ws();
-    let model = EffectModel::build(&ws);
-    run_atomic_lints(&ws, &model, just).0
+    run(just, &["atomic-ordering"])
 }
 
 fn of_lint<'d>(diags: &'d [Diagnostic], lint: &str) -> Vec<&'d Diagnostic> {
@@ -127,9 +130,9 @@ fn stale_entry_is_flagged_while_real_findings_persist() {
     );
     let diags = run_locks(&just);
     assert!(
-        diags
-            .iter()
-            .any(|d| d.message.contains("stale ledger entry") && d.message.contains("Pair::good")),
+        diags.iter().any(|d| d.lint == "double-lock"
+            && d.message.contains("stale ledger entry")
+            && d.message.contains("Pair::good")),
         "the unused entry must be reported stale: {diags:?}"
     );
     assert!(

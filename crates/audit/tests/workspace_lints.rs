@@ -8,17 +8,22 @@
 #![expect(clippy::expect_used, reason = "fixture loading fails only on a broken checkout")]
 
 use nucache_audit::diag::to_json;
-use nucache_audit::semantic::run_semantic_lints;
-use nucache_audit::{Baseline, Diagnostic, Workspace};
-use std::path::PathBuf;
+use nucache_audit::{Baseline, Diagnostic, EffectModel, Justifications, Workspace};
+use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("fixtures").join(name)
 }
 
+/// The full audit run over the workspace at `root`, with no ledger.
+fn audit(root: &Path, baseline: &Baseline) -> Vec<Diagnostic> {
+    let ws = Workspace::load(root).expect("load workspace");
+    let model = EffectModel::build(&ws);
+    nucache_audit::run(&ws, &model, &Justifications::default(), baseline).0
+}
+
 fn lint_fixture(name: &str, baseline: &Baseline) -> Vec<Diagnostic> {
-    let ws = Workspace::load(&fixture(name)).expect("load fixture");
-    run_semantic_lints(&ws, baseline)
+    audit(&fixture(name), baseline)
 }
 
 fn of_lint<'d>(diags: &'d [Diagnostic], lint: &str) -> Vec<&'d Diagnostic> {
@@ -49,8 +54,8 @@ fn counter_flow_fixture_flags_each_failure_mode() {
         messages.iter().any(|m| m.contains("`LeakyStats` accumulates but has no reset path")),
         "missing reset-path finding: {messages:?}"
     );
-    // `hits` flows correctly and `probes` is suppressed at the site.
-    assert!(!messages.iter().any(|m| m.contains("hits") || m.contains("probes")));
+    // `hits` flows correctly.
+    assert!(!messages.iter().any(|m| m.contains("hits")));
     assert_eq!(findings.len(), 3, "exactly the three seeded defects: {messages:?}");
 }
 
@@ -73,6 +78,23 @@ fn dead_pub_fixture_respects_baseline() {
 }
 
 #[test]
+fn dead_pub_stale_baseline_entry_is_a_finding() {
+    // `used` is referenced from crate `b`, so its entry excuses nothing:
+    // the finding names the baseline line to delete.
+    let baseline = Baseline::parse("nucache-b fn caller\nnucache-a fn used\n");
+    let diags = lint_fixture("dead_pub", &baseline);
+    let stale: Vec<&Diagnostic> = of_lint(&diags, "dead-cross-crate-pub")
+        .into_iter()
+        .filter(|d| d.message.contains("stale baseline entry"))
+        .collect();
+    assert_eq!(stale.len(), 1, "{diags:?}");
+    assert_eq!(stale[0].file, nucache_audit::BASELINE_REL);
+    assert_eq!(stale[0].line, 2);
+    assert!(stale[0].message.contains("`nucache-a fn used`"), "{stale:?}");
+    assert!(stale[0].message.contains("delete line 2"), "{stale:?}");
+}
+
+#[test]
 fn json_output_is_byte_identical_across_runs() {
     let run = || to_json(&lint_fixture("counter_flow", &Baseline::default()));
     let first = run();
@@ -82,12 +104,9 @@ fn json_output_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn real_workspace_lints_deterministically() {
+fn real_workspace_audits_deterministically() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    let baseline = Baseline::load(&root.join("crates/audit/pub_baseline.txt")).expect("baseline");
-    let run = || {
-        let ws = Workspace::load(&root).expect("load workspace");
-        to_json(&run_semantic_lints(&ws, &baseline))
-    };
-    assert_eq!(run(), run(), "lint JSON must be deterministic");
+    let baseline = Baseline::load(&root.join(nucache_audit::BASELINE_REL)).expect("baseline");
+    let run = || to_json(&audit(&root, &baseline));
+    assert_eq!(run(), run(), "audit JSON must be deterministic");
 }

@@ -236,8 +236,8 @@ struct Mirror {
 /// LRU stamp and (on 1-in-`2^monitor_shift` sampled sets) bumps a
 /// preallocated clock. Every tolerated exception is enumerated here,
 /// carries an `// audit:allow-alloc(..)` annotation at the site, and is
-/// cross-referenced by tag in `crates/audit/hotpath.txt` — the
-/// `nucache-audit effects` gate keeps all three in sync:
+/// cross-referenced by tag in `crates/audit/ledger.txt` — the audit
+/// (`cargo run -p nucache-audit`) keeps all three in sync:
 ///
 /// * `epoch-selection-scratch` — every `epoch_len`-th access runs the
 ///   selection pass, which builds candidate and telemetry scratch;
